@@ -38,6 +38,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::arena::{LineageArena, LineageNode, LineageRef};
 
@@ -383,15 +385,12 @@ impl Lineage {
     /// for consumers comparing against independent implementations.
     pub fn to_tree(&self) -> LineageTree {
         fn rec(r: LineageRef, view: &crate::arena::ArenaView<'_>) -> LineageTree {
+            let child = |c| Arc::new(rec(c, view));
             match view.node(r) {
                 LineageNode::Var(id) => LineageTree::Var(id),
-                LineageNode::Not(c) => LineageTree::Not(Box::new(rec(c, view))),
-                LineageNode::And(a, b) => {
-                    LineageTree::And(Box::new(rec(a, view)), Box::new(rec(b, view)))
-                }
-                LineageNode::Or(a, b) => {
-                    LineageTree::Or(Box::new(rec(a, view)), Box::new(rec(b, view)))
-                }
+                LineageNode::Not(c) => LineageTree::Not(child(c)),
+                LineageNode::And(a, b) => LineageTree::And(child(a), child(b)),
+                LineageNode::Or(a, b) => LineageTree::Or(child(a), child(b)),
             }
         }
         with_arena(|arena| {
@@ -427,16 +426,99 @@ impl fmt::Display for Lineage {
 /// layer: oracle-style consumers can walk it without touching the arena,
 /// and property tests compare arena results against computations on this
 /// tree. Convert with [`Lineage::to_tree`] / [`Lineage::from_tree`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Children are reference-counted, so the Table I constructors are O(1)
+/// over existing trees: `LineageTree::And(l.clone(), r.clone())` bumps two
+/// counts and allocates one node, and cloning a tree is shallow. Equality
+/// is structural (with a pointer-equality shortcut on shared children),
+/// and both `==` and drop walk the tree with an explicit stack, so a long
+/// left-deep `Or` fold — one node per member of a standing group — neither
+/// compares nor frees by recursion.
+#[derive(Debug, Clone)]
 pub enum LineageTree {
     /// An atomic base-tuple variable.
     Var(TupleId),
     /// Negation ¬λ.
-    Not(Box<LineageTree>),
+    Not(Arc<LineageTree>),
     /// Conjunction (λ1) ∧ (λ2).
-    And(Box<LineageTree>, Box<LineageTree>),
+    And(Arc<LineageTree>, Arc<LineageTree>),
     /// Disjunction (λ1) ∨ (λ2).
-    Or(Box<LineageTree>, Box<LineageTree>),
+    Or(Arc<LineageTree>, Arc<LineageTree>),
+}
+
+impl PartialEq for LineageTree {
+    fn eq(&self, other: &Self) -> bool {
+        type Pair<'t> = (&'t Arc<LineageTree>, &'t Arc<LineageTree>);
+        let mut stack: Vec<Pair<'_>> = Vec::new();
+        let (mut a, mut b) = (self, other);
+        loop {
+            let kids: [Option<Pair<'_>>; 2] = match (a, b) {
+                (LineageTree::Var(x), LineageTree::Var(y)) if x == y => [None, None],
+                (LineageTree::Not(x), LineageTree::Not(y)) => [Some((x, y)), None],
+                (LineageTree::And(a1, a2), LineageTree::And(b1, b2))
+                | (LineageTree::Or(a1, a2), LineageTree::Or(b1, b2)) => {
+                    [Some((a1, b1)), Some((a2, b2))]
+                }
+                _ => return false,
+            };
+            stack.extend(
+                kids.into_iter()
+                    .flatten()
+                    .filter(|(x, y)| !Arc::ptr_eq(x, y)),
+            );
+            match stack.pop() {
+                Some((x, y)) => (a, b) = (x, y),
+                None => return true,
+            }
+        }
+    }
+}
+
+impl Eq for LineageTree {}
+
+// Recursive, unlike `==`: the only hasher is the Shannon-expansion memo
+// in `prob::exact`, whose other tree walks recurse as well; standing
+// pipelines' fold spines are never hashed.
+impl Hash for LineageTree {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            LineageTree::Var(id) => id.hash(state),
+            LineageTree::Not(c) => c.hash(state),
+            LineageTree::And(a, b) | LineageTree::Or(a, b) => {
+                a.hash(state);
+                b.hash(state);
+            }
+        }
+    }
+}
+
+impl Drop for LineageTree {
+    fn drop(&mut self) {
+        // Detach every uniquely owned interior child onto an explicit
+        // stack (leaving a leaf in its place), so each node is freed with
+        // leaf or shared children only: the default drop would recurse
+        // once per node of a left-deep fold spine.
+        fn detach(node: &mut LineageTree, stack: &mut Vec<LineageTree>) {
+            let (a, b) = match node {
+                LineageTree::Var(_) => return,
+                LineageTree::Not(c) => (c, None),
+                LineageTree::And(a, b) | LineageTree::Or(a, b) => (a, Some(b)),
+            };
+            for child in std::iter::once(a).chain(b) {
+                if let Some(inner) = Arc::get_mut(child) {
+                    if !matches!(inner, LineageTree::Var(_)) {
+                        stack.push(std::mem::replace(inner, LineageTree::Var(TupleId(0))));
+                    }
+                }
+            }
+        }
+        let mut stack = Vec::new();
+        detach(self, &mut stack);
+        while let Some(mut node) = stack.pop() {
+            detach(&mut node, &mut stack);
+        }
+    }
 }
 
 impl LineageTree {
@@ -547,20 +629,20 @@ impl LineageTree {
                 }
             }
             LineageTree::Not(c) => match c.condition(var, value) {
-                Ok(inner) => Ok(LineageTree::Not(Box::new(inner))),
+                Ok(inner) => Ok(LineageTree::Not(Arc::new(inner))),
                 Err(v) => Err(!v),
             },
             LineageTree::And(a, b) => match (a.condition(var, value), b.condition(var, value)) {
                 (Err(false), _) | (_, Err(false)) => Err(false),
                 (Err(true), Ok(x)) | (Ok(x), Err(true)) => Ok(x),
                 (Err(true), Err(true)) => Err(true),
-                (Ok(x), Ok(y)) => Ok(LineageTree::And(Box::new(x), Box::new(y))),
+                (Ok(x), Ok(y)) => Ok(LineageTree::And(Arc::new(x), Arc::new(y))),
             },
             LineageTree::Or(a, b) => match (a.condition(var, value), b.condition(var, value)) {
                 (Err(true), _) | (_, Err(true)) => Err(true),
                 (Err(false), Ok(x)) | (Ok(x), Err(false)) => Ok(x),
                 (Err(false), Err(false)) => Err(false),
-                (Ok(x), Ok(y)) => Ok(LineageTree::Or(Box::new(x), Box::new(y))),
+                (Ok(x), Ok(y)) => Ok(LineageTree::Or(Arc::new(x), Arc::new(y))),
             },
         }
     }
@@ -812,5 +894,47 @@ mod tests {
         let m = twice.var_multiplicities();
         assert_eq!(m[&TupleId(1)], 2);
         assert_eq!(m[&TupleId(2)], 2);
+    }
+
+    /// A left-deep `Or` spine over `n` leaves, built bottom-up the way a
+    /// standing group folds its members.
+    fn spine(n: u64) -> LineageTree {
+        (1..n).fold(LineageTree::Var(TupleId(0)), |acc, i| {
+            LineageTree::Or(Arc::new(acc), Arc::new(LineageTree::Var(TupleId(i))))
+        })
+    }
+
+    #[test]
+    fn deep_spines_compare_and_drop_without_recursion() {
+        // Deep enough that one stack frame per node would overflow the
+        // test thread.
+        let n = 1_000_000;
+        let (a, b) = (spine(n), spine(n));
+        assert!(a == b, "independently built spines are structurally equal");
+        let LineageTree::Or(left, _) = &a else {
+            panic!("a spine is an Or")
+        };
+        let other = LineageTree::Or(left.clone(), Arc::new(LineageTree::Var(TupleId(n))));
+        assert!(a != other, "the last leaf differs");
+        drop(other);
+        drop(a);
+        drop(b);
+    }
+
+    #[test]
+    fn tree_equality_and_hash_are_structural_across_sharing() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |t: &LineageTree| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        let shared = Arc::new(v(1).to_tree());
+        let x = LineageTree::And(shared.clone(), shared.clone());
+        let y = Lineage::and(&v(1), &v(1)).to_tree();
+        assert_eq!(x, y);
+        assert_eq!(hash(&x), hash(&y));
+        assert_ne!(x, LineageTree::Or(shared.clone(), shared));
+        assert_ne!(y, Lineage::and(&v(1), &v(2)).to_tree());
     }
 }

@@ -27,8 +27,17 @@
 //! owned [`LineageTree`] — expanded at the source, inside the arena scope,
 //! exactly like [`crate::MaterializingSink`] records deltas — so standing
 //! state never holds arena references and segment retirement in reclaim
-//! mode can never invalidate it. Derived lineage (join conjunctions,
-//! distinct/aggregate disjunction folds) is built over those owned trees.
+//! mode can never invalidate it.
+//!
+//! The tree is expanded once and then shared: a tree's children are
+//! `Arc`s, and every operator holding an instance holds the same
+//! `Arc<LineageTree>`. Derived lineage links to its inputs — a join
+//! output allocates one `And` node, an ∨-fold one `Or` node per member —
+//! so clones are refcount bumps and a retraction finds its instance by
+//! pointer equality before any structural comparison. Distinct and
+//! aggregate groups store the output they last published, which is the
+//! pre-batch side of the next republish; each dirty group is folded once
+//! per advance.
 //!
 //! ## Source encoding
 //!
@@ -54,6 +63,7 @@ use tp_core::ops::SetOp;
 use tp_core::relation::TpRelation;
 use tp_core::value::Value;
 use tp_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use tp_relalg::aggregate::AggFn;
 use tp_relalg::incremental::{lower, LowerError, LoweredOp};
 use tp_relalg::optimize::{RateProfile, SourceStats};
 use tp_relalg::plan::Plan;
@@ -113,13 +123,14 @@ impl From<LowerError> for PipelineError {
     }
 }
 
-/// One standing tuple instance: a flat row plus its (owned) lineage.
+/// One standing tuple instance: a flat row plus its shared lineage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipeTuple {
     /// The encoded row.
     pub row: Row,
-    /// Lineage of the instance, arena-independent.
-    pub lineage: LineageTree,
+    /// Lineage of the instance, arena-independent. Every operator holding
+    /// the instance shares this one tree; derived lineage links to it.
+    pub lineage: Arc<LineageTree>,
 }
 
 /// An internal change notification between operators.
@@ -178,9 +189,30 @@ enum OpState {
     /// Hash join: per-side instances bucketed by join key.
     HashJoin([FastMap<Vec<Value>, Vec<PipeTuple>>; 2]),
     /// Distinct: instance lineages per distinct row (support counting).
-    Distinct(FastMap<Row, Vec<LineageTree>>),
-    /// Aggregate: member instances per group key, in arrival order.
-    Aggregate(FastMap<Vec<Value>, Vec<PipeTuple>>),
+    Distinct(FastMap<Row, Group<Arc<LineageTree>>>),
+    /// Aggregate: member instances per group key.
+    Aggregate(FastMap<Vec<Value>, Group<PipeTuple>>),
+}
+
+/// One support-counted group of a distinct or aggregate operator.
+struct Group<M> {
+    /// Member instances, in arrival order.
+    members: Vec<M>,
+    /// The output last published for the group. `None` only while a group
+    /// created in the current batch awaits its first republish.
+    out: Option<PipeTuple>,
+    /// Touched since the last republish (the dirty-key set of the batch).
+    dirty: bool,
+}
+
+impl<M> Group<M> {
+    fn new() -> Self {
+        Group {
+            members: Vec::new(),
+            out: None,
+            dirty: false,
+        }
+    }
 }
 
 impl OpState {
@@ -205,20 +237,60 @@ impl OpState {
                 .iter()
                 .map(|m| m.values().map(Vec::len).sum::<usize>())
                 .sum(),
-            OpState::Distinct(m) => m.values().map(Vec::len).sum(),
-            OpState::Aggregate(m) => m.values().map(Vec::len).sum(),
+            OpState::Distinct(m) => m.values().map(|g| g.members.len()).sum(),
+            OpState::Aggregate(m) => m.values().map(|g| g.members.len()).sum(),
+        }
+    }
+
+    /// Whether every distinct/aggregate group's stored output equals a
+    /// fresh refold of its members — the invariant dirty-key recompute
+    /// relies on when it reads the pre-batch output from the cache.
+    fn cached_outputs_hold(&self, op: &LoweredOp) -> bool {
+        fn holds<K, M>(
+            groups: &FastMap<K, Group<M>>,
+            fresh: impl Fn(&K, &[M]) -> PipeTuple,
+        ) -> bool {
+            groups.iter().all(|(key, g)| {
+                !g.dirty && !g.members.is_empty() && g.out.as_ref() == Some(&fresh(key, &g.members))
+            })
+        }
+        match (op, self) {
+            (LoweredOp::Distinct, OpState::Distinct(groups)) => {
+                holds(groups, |row, members| PipeTuple {
+                    row: row.clone(),
+                    lineage: or_fold(members.iter()),
+                })
+            }
+            (LoweredOp::Aggregate { aggs, .. }, OpState::Aggregate(groups)) => {
+                holds(groups, |key, members| aggregate_output(key, aggs, members))
+            }
+            _ => true,
         }
     }
 }
 
 /// Left-associative ∨-fold of instance lineages, in stored order — the
-/// deterministic lineage of a support-counted output row.
-fn or_fold(trees: &[LineageTree]) -> LineageTree {
-    let mut it = trees.iter();
-    let first = it.next().expect("folds run over non-empty groups").clone();
-    it.fold(first, |acc, t| {
-        LineageTree::Or(Box::new(acc), Box::new(t.clone()))
-    })
+/// deterministic lineage of a support-counted output row. Allocates one
+/// node per step; the instances themselves are shared, not copied.
+fn or_fold<'a>(mut trees: impl Iterator<Item = &'a Arc<LineageTree>>) -> Arc<LineageTree> {
+    let first = trees
+        .next()
+        .expect("folds run over non-empty groups")
+        .clone();
+    trees.fold(first, |acc, t| Arc::new(LineageTree::Or(acc, t.clone())))
+}
+
+/// An aggregate group's output: the key, the batch
+/// [`tp_relalg::AggFn::finish`] of every aggregate over the members'
+/// rows, and the ∨-fold of the members' lineages.
+fn aggregate_output(key: &[Value], aggs: &[AggFn], members: &[PipeTuple]) -> PipeTuple {
+    let rows: Vec<&Row> = members.iter().map(|m| &m.row).collect();
+    let mut row: Row = key.to_vec();
+    row.extend(aggs.iter().map(|a| a.finish(&rows)));
+    PipeTuple {
+        row,
+        lineage: or_fold(members.iter().map(|m| &m.lineage)),
+    }
 }
 
 fn joined(l: &PipeTuple, r: &PipeTuple) -> PipeTuple {
@@ -226,7 +298,7 @@ fn joined(l: &PipeTuple, r: &PipeTuple) -> PipeTuple {
     row.extend(r.row.iter().cloned());
     PipeTuple {
         row,
-        lineage: LineageTree::And(Box::new(l.lineage.clone()), Box::new(r.lineage.clone())),
+        lineage: Arc::new(LineageTree::And(l.lineage.clone(), r.lineage.clone())),
     }
 }
 
@@ -362,135 +434,131 @@ impl Node {
     /// (distinct, aggregate) with **dirty-key recompute**: member lists are
     /// updated first, then every dirty group is republished exactly once —
     /// one `Del` of its pre-batch output, one `Ins` of its post-batch
-    /// output. A group hit by many deltas in one advance (the
-    /// retract-and-regrow traffic of `Extend`-dominated streams) pays one
-    /// lineage refold instead of one per delta, and groups whose output is
-    /// net-unchanged emit nothing.
+    /// output. The pre-batch output is the one the group stored when it
+    /// was last published, so each dirty group is folded once per advance.
+    /// A group hit by many deltas in one advance (the retract-and-regrow
+    /// traffic of `Extend`-dominated streams) pays one lineage refold
+    /// instead of one per delta, and groups whose output is net-unchanged
+    /// emit nothing.
     fn apply_grouped(&mut self, inbox: Vec<(usize, PipeDelta)>, out: &mut Vec<PipeDelta>) {
         match (&self.op, &mut self.state) {
             (LoweredOp::Distinct, OpState::Distinct(groups)) => {
-                // Phase 1: update supports, snapshotting each row's
-                // pre-batch output the first time it is touched.
+                // Phase 1: update supports, marking each row dirty the
+                // first time it is touched.
                 let mut dirty: Vec<Row> = Vec::new();
-                let mut old: FastMap<Row, Option<LineageTree>> = FastMap::default();
                 for (_port, delta) in inbox {
                     match delta {
                         PipeDelta::Ins(t) => {
-                            let instances = groups.entry(t.row.clone()).or_default();
-                            old.entry(t.row.clone()).or_insert_with(|| {
-                                dirty.push(t.row.clone());
-                                (!instances.is_empty()).then(|| or_fold(instances))
-                            });
-                            instances.push(t.lineage);
+                            let g = groups.entry(t.row.clone()).or_insert_with(Group::new);
+                            g.members.push(t.lineage);
+                            if !std::mem::replace(&mut g.dirty, true) {
+                                dirty.push(t.row);
+                            }
                         }
                         PipeDelta::Del(t) => {
-                            let instances = groups
+                            let g = groups
                                 .get_mut(&t.row)
                                 .expect("Del retracts a standing distinct instance");
-                            old.entry(t.row.clone()).or_insert_with(|| {
-                                dirty.push(t.row.clone());
-                                Some(or_fold(instances))
-                            });
-                            let at = instances
+                            let at = g
+                                .members
                                 .iter()
                                 .position(|x| *x == t.lineage)
                                 .expect("Del retracts a standing distinct instance");
-                            instances.remove(at);
-                            if instances.is_empty() {
-                                groups.remove(&t.row);
+                            g.members.remove(at);
+                            if !std::mem::replace(&mut g.dirty, true) {
+                                dirty.push(t.row);
                             }
                         }
                     }
                 }
                 // Phase 2: republish changed rows, in first-touch order.
                 for row in dirty {
-                    let old_fold = old.remove(&row).expect("snapshotted in phase 1");
-                    let new_fold = groups.get(&row).map(|instances| or_fold(instances));
-                    push_republish(
-                        out,
-                        old_fold.map(|lineage| PipeTuple {
-                            row: row.clone(),
-                            lineage,
-                        }),
-                        new_fold.map(|lineage| PipeTuple { row, lineage }),
-                    );
+                    let g = groups
+                        .get_mut(&row)
+                        .expect("dirty groups stay until republished");
+                    g.dirty = false;
+                    let new = (!g.members.is_empty()).then(|| PipeTuple {
+                        row: row.clone(),
+                        lineage: or_fold(g.members.iter()),
+                    });
+                    g.out = push_republish(out, g.out.take(), new);
+                    if g.out.is_none() {
+                        groups.remove(&row);
+                    }
                 }
             }
             (LoweredOp::Aggregate { keys, aggs }, OpState::Aggregate(groups)) => {
-                let output = |key: &[Value], members: &[PipeTuple]| {
-                    let rows: Vec<&Row> = members.iter().map(|m| &m.row).collect();
-                    let mut row: Row = key.to_vec();
-                    row.extend(aggs.iter().map(|a| a.finish(&rows)));
-                    let mut it = members.iter();
-                    let first = it
-                        .next()
-                        .expect("folds run over non-empty groups")
-                        .lineage
-                        .clone();
-                    let lineage = it.fold(first, |acc, m| {
-                        LineageTree::Or(Box::new(acc), Box::new(m.lineage.clone()))
-                    });
-                    PipeTuple { row, lineage }
-                };
                 let mut dirty: Vec<Vec<Value>> = Vec::new();
-                let mut old: FastMap<Vec<Value>, Option<PipeTuple>> = FastMap::default();
                 for (_port, delta) in inbox {
                     let key: Vec<Value> =
                         keys.iter().map(|&k| delta.tuple().row[k].clone()).collect();
                     match delta {
                         PipeDelta::Ins(t) => {
-                            let members = groups.entry(key.clone()).or_default();
-                            old.entry(key.clone()).or_insert_with(|| {
-                                dirty.push(key.clone());
-                                (!members.is_empty()).then(|| output(&key, members))
-                            });
-                            members.push(t);
+                            let g = groups.entry(key.clone()).or_insert_with(Group::new);
+                            g.members.push(t);
+                            if !std::mem::replace(&mut g.dirty, true) {
+                                dirty.push(key);
+                            }
                         }
                         PipeDelta::Del(t) => {
-                            let members = groups
+                            let g = groups
                                 .get_mut(&key)
                                 .expect("Del retracts a standing group member");
-                            old.entry(key.clone()).or_insert_with(|| {
-                                dirty.push(key.clone());
-                                Some(output(&key, members))
-                            });
-                            let at = members
+                            let at = g
+                                .members
                                 .iter()
                                 .position(|x| *x == t)
                                 .expect("Del retracts a standing group member");
-                            members.remove(at);
-                            if members.is_empty() {
-                                groups.remove(&key);
+                            g.members.remove(at);
+                            if !std::mem::replace(&mut g.dirty, true) {
+                                dirty.push(key);
                             }
                         }
                     }
                 }
                 for key in dirty {
-                    let old_out = old.remove(&key).expect("snapshotted in phase 1");
-                    let new_out = groups.get(&key).map(|members| output(&key, members));
-                    push_republish(out, old_out, new_out);
+                    let g = groups
+                        .get_mut(&key)
+                        .expect("dirty groups stay until republished");
+                    g.dirty = false;
+                    let new =
+                        (!g.members.is_empty()).then(|| aggregate_output(&key, aggs, &g.members));
+                    g.out = push_republish(out, g.out.take(), new);
+                    if g.out.is_none() {
+                        groups.remove(&key);
+                    }
                 }
             }
             _ => unreachable!("apply_grouped only drains distinct/aggregate"),
         }
+        debug_assert!(
+            self.state.cached_outputs_hold(&self.op),
+            "a group's stored output differs from a refold of its members"
+        );
     }
 }
 
-/// Emits the republication deltas of one dirty group: retract the
-/// pre-batch output, insert the post-batch one, and emit nothing when the
-/// batch left the output unchanged (row-compare first, so the deep lineage
-/// comparison only runs when the rows already agree).
-fn push_republish(out: &mut Vec<PipeDelta>, old: Option<PipeTuple>, new: Option<PipeTuple>) {
+/// Emits the republication deltas of one dirty group — retract the
+/// pre-batch output `old`, insert the post-batch output `new`, nothing
+/// when the batch left the output unchanged — and returns the output the
+/// group stores from now on. An unchanged group keeps its `old` tree, so
+/// the instance the views hold stays pointer-identical to the stored one.
+fn push_republish(
+    out: &mut Vec<PipeDelta>,
+    old: Option<PipeTuple>,
+    new: Option<PipeTuple>,
+) -> Option<PipeTuple> {
     match (old, new) {
-        (None, Some(new)) => out.push(PipeDelta::Ins(new)),
-        (Some(old), None) => out.push(PipeDelta::Del(old)),
-        (Some(old), Some(new)) => {
-            if old != new {
+        (Some(old), Some(new)) if old == new => Some(old),
+        (old, new) => {
+            if let Some(old) = old {
                 out.push(PipeDelta::Del(old));
-                out.push(PipeDelta::Ins(new));
             }
+            if let Some(new) = &new {
+                out.push(PipeDelta::Ins(new.clone()));
+            }
+            new
         }
-        (None, None) => {}
     }
 }
 
@@ -506,7 +574,7 @@ struct PipelineObs {
 /// per output row, plus the plan's root schema.
 struct RootView {
     schema: Schema,
-    rows: FastMap<Row, Vec<LineageTree>>,
+    rows: FastMap<Row, Vec<Arc<LineageTree>>>,
     /// Total instances (multiplicity sum).
     len: usize,
 }
@@ -539,7 +607,7 @@ pub struct Pipeline {
     /// hold several disjoint-interval rows; `last_run` keeps only the
     /// latest). This is the replay source [`Pipeline::reoptimize`] rebuilds
     /// a swapped DAG's operator state from.
-    standing: Vec<FastMap<Row, Vec<LineageTree>>>,
+    standing: Vec<FastMap<Row, Vec<Arc<LineageTree>>>>,
     /// Per physical source: deltas buffered since the last advance.
     source_offered: Vec<u64>,
     /// Per physical source: EWMA deltas per advance.
@@ -768,7 +836,7 @@ impl Pipeline {
                     );
                     let pt = PipeTuple {
                         row: encode_row(&t.fact, t.interval),
-                        lineage: t.lineage.to_tree(),
+                        lineage: Arc::new(t.lineage.to_tree()),
                     };
                     self.last_run[s].insert(t.fact.clone(), pt.clone());
                     self.standing[s]
@@ -787,7 +855,7 @@ impl Pipeline {
                         // The contract: an Extend grows the fact's latest
                         // output tuple and keeps its lineage handle, so
                         // the standing encoding is retracted and regrown
-                        // with the identical lineage tree.
+                        // sharing the identical lineage tree.
                         let mut grown = prev.clone();
                         let te = grown.row.len() - 1;
                         debug_assert_eq!(grown.row[te], Value::int(*from), "Extend boundary");
@@ -818,7 +886,7 @@ impl Pipeline {
                         );
                         let pt = PipeTuple {
                             row: encode_row(fact, Interval::at(*from, *to)),
-                            lineage: lineage.to_tree(),
+                            lineage: Arc::new(lineage.to_tree()),
                         };
                         self.last_run[s].insert(fact.clone(), pt.clone());
                         self.standing[s]
@@ -899,27 +967,25 @@ impl Pipeline {
             }
             // A node can be a plan root and an interior operator at once
             // (one plan's output is another's subexpression): feed every
-            // view first, then forward downstream.
-            for vi in 0..self.node_views[i].len() {
-                let v = self.node_views[i][vi];
-                for delta in &out {
-                    self.apply_view(v, delta.clone());
-                }
-            }
-            if let ([(consumer, port)], true) =
-                (&self.consumers[i][..], self.node_views[i].is_empty())
-            {
-                // Sole consumer, no view: hand the deltas over without
-                // cloning.
-                let (consumer, port) = (*consumer, *port);
-                for delta in out {
-                    self.nodes[consumer].inbox.push((port, delta));
-                }
-            } else {
-                for &(consumer, port) in &self.consumers[i] {
-                    for delta in &out {
-                        self.nodes[consumer].inbox.push((port, delta.clone()));
+            // view first, then forward downstream. Every recipient but the
+            // last gets clones; the last one takes the deltas.
+            let views = self.node_views[i].len();
+            let recipients = views + self.consumers[i].len();
+            for r in 0..recipients {
+                let deltas = if r + 1 == recipients {
+                    std::mem::take(&mut out)
+                } else {
+                    out.clone()
+                };
+                if r < views {
+                    let v = self.node_views[i][r];
+                    for delta in deltas {
+                        self.apply_view(v, delta);
                     }
+                } else {
+                    let (consumer, port) = self.consumers[i][r - views];
+                    let inbox = &mut self.nodes[consumer].inbox;
+                    inbox.extend(deltas.into_iter().map(|delta| (port, delta)));
                 }
             }
         }
@@ -986,7 +1052,7 @@ impl Pipeline {
         let mut out: Vec<(Row, LineageTree)> = self.views[p]
             .rows
             .iter()
-            .map(|(row, instances)| (row.clone(), or_fold(instances)))
+            .map(|(row, instances)| (row.clone(), Arc::unwrap_or_clone(or_fold(instances.iter()))))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -1226,7 +1292,6 @@ mod tests {
     use crate::engine::{EngineConfig, Side, StreamEngine};
     use tp_core::lineage::{Lineage, TupleId};
     use tp_core::tuple::TpTuple;
-    use tp_relalg::aggregate::AggFn;
     use tp_relalg::incremental::bind_sources;
     use tp_relalg::predicate::{CmpOp, Predicate};
 

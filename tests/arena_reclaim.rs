@@ -10,6 +10,7 @@ mod common;
 use common::oracle::assert_formula_matches_control;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 use tp_core::arena::{LineageArena, RetireError, SegmentId, SegmentState};
 use tp_core::bdd;
 use tp_core::lineage::{Lineage, LineageTree, TupleId};
@@ -96,15 +97,15 @@ fn random_intern_seal_retire_interleavings_never_invalidate_live_refs() {
                         match rng.random_range(0..3u32) {
                             0 => (
                                 Lineage::and(&pick.lineage, &fresh),
-                                LineageTree::And(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::And(Arc::new(pick.tree.clone()), Arc::new(fresh_tree)),
                             ),
                             1 => (
                                 Lineage::or(&pick.lineage, &fresh),
-                                LineageTree::Or(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::Or(Arc::new(pick.tree.clone()), Arc::new(fresh_tree)),
                             ),
                             _ => (
                                 pick.lineage.negate(),
-                                LineageTree::Not(Box::new(pick.tree.clone())),
+                                LineageTree::Not(Arc::new(pick.tree.clone())),
                             ),
                         }
                     };

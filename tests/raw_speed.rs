@@ -21,6 +21,7 @@ use common::{arb_raw_relation, build_relation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 use tp_core::arena::{LineageArena, SegmentState};
 use tp_stream::{
     EngineConfig, MaterializingSink, ParallelConfig, ReclaimConfig, ReplayConfig, ReplayEvent,
@@ -438,12 +439,12 @@ fn random_interior_retire_interleavings_preserve_live_marginals() {
                         if rng.random::<bool>() {
                             (
                                 Lineage::and(&pick.lineage, &fresh),
-                                LineageTree::And(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::And(Arc::new(pick.tree.clone()), Arc::new(fresh_tree)),
                             )
                         } else {
                             (
                                 Lineage::or(&pick.lineage, &fresh),
-                                LineageTree::Or(Box::new(pick.tree.clone()), Box::new(fresh_tree)),
+                                LineageTree::Or(Arc::new(pick.tree.clone()), Arc::new(fresh_tree)),
                             )
                         }
                     };

@@ -294,3 +294,53 @@ fn pipeline_stats_and_metadata_are_live() {
         assert!(emitted > 0, "operator {op_name} never emitted");
     }
 }
+
+#[test]
+fn recurring_join_keys_fold_deep_groups_on_a_small_stack() {
+    // Keys that recur for the whole run grow every aggregate group without
+    // bound: after 40 epochs a group folds 3·40 union pieces × 40
+    // intersect pieces = 4800 member lineages into one left-deep ∨-spine.
+    // Dropping and comparing that spine must not recurse once per member,
+    // so the whole run fits a 256 KiB thread stack.
+    const KEYS: i64 = 16;
+    const EPOCHS: i64 = 40;
+    let worker = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(|| {
+            let (_, plan, taps) = plan_cases().remove(0);
+            let mut engine = StreamEngine::with_plan(engine_config(false, false), &plan, &taps)
+                .expect("plan compiles");
+            let mut sink = CollectingSink::new();
+            let mut var = 0u64;
+            for epoch in 0..EPOCHS {
+                let t0 = epoch * 10;
+                for k in 0..KEYS {
+                    for (side, from, to) in
+                        [(Side::Left, t0, t0 + 6), (Side::Right, t0 + 3, t0 + 9)]
+                    {
+                        engine.push(
+                            side,
+                            TpTuple::new(
+                                Fact::single(k),
+                                Lineage::var(TupleId(var)),
+                                Interval::at(from, to),
+                            ),
+                        );
+                        var += 1;
+                    }
+                }
+                engine.advance(t0 + 10, &mut sink).unwrap();
+            }
+            engine.finish(&mut sink).unwrap();
+            let got = engine.pipeline().unwrap().materialized().rows;
+            (got, batch_rows(&plan, &sink, &taps))
+        })
+        .expect("spawn the small-stack worker");
+    let (got, expect) = worker.join().expect("small-stack run must not overflow");
+    assert_eq!(
+        expect.len(),
+        KEYS as usize,
+        "one output row per recurring key"
+    );
+    assert_eq!(got, expect, "recurring-key pipeline != batch");
+}
