@@ -700,9 +700,9 @@ impl ContentionBench {
 }
 
 /// Runs the intern-contention workload: each thread builds its own
-/// and-chain over distinct variables (the `ops::apply_parallel` / streaming
-/// worker pattern: mostly disjoint nodes) while periodically re-interning a
-/// small shared variable pool (the hit path every worker shares).
+/// and-chain over distinct variables (the region-parallel advance's worker
+/// pattern: mostly disjoint nodes) while periodically re-interning a small
+/// shared variable pool (the hit path every worker shares).
 pub fn arena_contention_bench(threads: usize, nodes_per_thread: usize) -> ContentionBench {
     use tp_core::arena::{LineageArena, LineageNode, MAX_SHARDS};
     use tp_core::lineage::TupleId;

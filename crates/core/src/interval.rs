@@ -19,7 +19,6 @@ pub type TimePoint = i64;
 /// Invariant: `start < end`. Empty intervals are unrepresentable, matching
 /// the paper's model where every tuple is valid for at least one time point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Interval {
     start: TimePoint,
     end: TimePoint,

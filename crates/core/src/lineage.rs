@@ -46,7 +46,6 @@ use crate::arena::{LineageArena, LineageNode, LineageRef};
 /// Identifier of a base tuple, acting as an independent Boolean random
 /// variable in lineage formulas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TupleId(pub u64);
 
 impl fmt::Display for TupleId {

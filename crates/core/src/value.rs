@@ -21,7 +21,6 @@ use std::sync::Arc;
 /// pragmatic choice for a database value type: grouping must never lose
 /// tuples because a measurement happened to be `NaN`.
 #[derive(Debug, Clone, Copy)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OrderedF64(pub f64);
 
 impl PartialEq for OrderedF64 {
@@ -71,7 +70,6 @@ impl From<f64> for OrderedF64 {
 /// every output tuple that carries them; cloning a [`Value::Str`] is a
 /// refcount bump, not an allocation.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// Boolean attribute.
     Bool(bool),

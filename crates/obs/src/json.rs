@@ -1,7 +1,6 @@
 //! A minimal JSON writer/validator — just enough to emit snapshots with
 //! correct escaping and to let tests and CI gates assert an exported
-//! document is syntactically well-formed without a serde dependency
-//! (the workspace's vendored `serde` is a no-op shim).
+//! document is syntactically well-formed without a serde dependency.
 
 /// Escapes `s` as a JSON string literal, quotes included.
 pub fn escape(s: &str) -> String {

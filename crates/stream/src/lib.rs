@@ -26,7 +26,6 @@
 //! | [`engine`] | [`StreamEngine`]: ingestion, watermarks, incremental sweep (optionally sharded over workers by timeline region, byte-identical), delta emission |
 //! | [`gapped`] | [`GappedBuffer`]: the gapped learned timestamp index behind sort-free ingestion |
 //! | [`delta`] | [`Delta`], the [`StreamSink`] trait, collecting/counting sinks |
-//! | [`epoch`] | timeline-partitioned parallel executor + arena cache/storage release scopes |
 //! | [`obs`] | stage-level tracing + lock-free metrics for the advance pipeline ([`tp_obs`] façade) |
 //! | [`pipeline`] | [`Pipeline`]: a compiled [`tp_relalg::Plan`] running as standing incremental operators over the delta streams |
 //! | [`replay`] | deterministic out-of-order replay scripts over batch relation pairs |
@@ -41,7 +40,6 @@
 
 pub mod delta;
 pub mod engine;
-pub mod epoch;
 pub mod gapped;
 pub mod obs;
 pub mod pipeline;
@@ -56,7 +54,6 @@ pub use engine::{
     AdvanceStats, BufferKind, EngineConfig, IngestOutcome, ParallelConfig, ReclaimConfig, Side,
     StreamEngine, StreamError, WatermarkPolicy,
 };
-pub use epoch::{apply_epoched, EpochConfig, EpochScope, ReleasedStorage};
 pub use gapped::{Drained, GappedBuffer, IndexEpochStats};
 pub use obs::{
     advance_section, arena_section, metrics_json, metrics_text, render_all, set_obs_enabled,

@@ -24,10 +24,11 @@
 //! delta-emission loop of a parallel advance), `retrain` (a gapped-index
 //! rebuild, recorded in [`crate::gapped`]), and `valuate_batch` (the
 //! columnar marginal kernel, recorded by [`valuate_batch`]). A
-//! whole-advance span (category `"advance"`) wraps the stages. All spans of one engine share an interned context label
-//! ([`tp_obs::ctx_id`]) — the tenant name under a [`StreamServer`]
-//! (crate::StreamServer), `"engine"` otherwise — so exports and tests can
-//! filter one run out of the process-wide ring buffers.
+//! whole-advance span (category `"advance"`) wraps the stages. All spans
+//! of one engine share an interned context label ([`tp_obs::ctx_id`]) —
+//! the tenant name under a [`StreamServer`](crate::StreamServer),
+//! `"engine"` otherwise — so exports and tests can filter one run out of
+//! the process-wide ring buffers.
 //!
 //! Metrics and spans never influence engine behavior: an instrumented run
 //! emits byte-identical delta logs to an uninstrumented one (asserted by

@@ -21,6 +21,9 @@
 //! the shard runs lock-free). Results are deterministic: a tenant's delta
 //! log is byte-identical whether it is advanced alone or in a wave next to
 //! thousands of others — the soak tests assert exactly that.
+//!
+//! [`LineageArena`]: tp_core::arena::LineageArena
+//! [`LineageArena::enter`]: tp_core::arena::LineageArena::enter
 
 use std::sync::Arc;
 

@@ -24,7 +24,9 @@ use tp_stream::{
     CollectingSink, EngineConfig, MaterializingSink, ParallelConfig, ReclaimConfig, ReplayConfig,
     Side, StreamEngine, StreamScript,
 };
-use tp_workloads::{skewed_synth_stream, sliding_synth_stream, SkewedConfig, SlidingConfig};
+use tp_workloads::{
+    skewed_synth_stream, sliding_synth_stream, SkewedConfig, SlidingConfig, SynthConfig,
+};
 use tpdb::prelude::*;
 
 /// Strategy for arbitrary cut vectors: unsorted, duplicated, and partly
@@ -92,6 +94,35 @@ proptest! {
         // marginals) — the full oracle contract.
         let applied = pinned.replay();
         assert_stream_matches_batch(&applied, &r, &s, &vars);
+    }
+}
+
+/// The random-cut differential at workload scale: a 20k-tuple synth pair
+/// over 50 facts (the proptest above sees at most 24 tuples), eight seeded
+/// random plans, each with duplicate cuts and empty regions on both sides
+/// of the data span.
+#[test]
+fn seeded_plans_on_a_generated_workload_yield_the_sequential_window_stream() {
+    let mut vars = VarTable::new();
+    let (r, s) = tp_workloads::synth::generate(&SynthConfig::with_facts(20_000, 50, 9), &mut vars);
+    let (r, s) = (r.sorted(), s.sorted());
+    let batch = all_windows(r.tuples(), s.tuples());
+    let (lo, hi) = r
+        .iter()
+        .chain(s.iter())
+        .fold((i64::MAX, i64::MIN), |(lo, hi), t| {
+            (lo.min(t.interval.start()), hi.max(t.interval.end()))
+        });
+    let mut rng = StdRng::seed_from_u64(0x5EED_4E10);
+    for plan_no in 0..8 {
+        let n = rng.random_range(1..=32usize);
+        let mut cuts: Vec<i64> = (0..n).map(|_| rng.random_range(lo..=hi)).collect();
+        let dups = rng.random_range(1..=n);
+        cuts.extend_from_within(..dups);
+        cuts.extend([lo - 9, lo - 3, hi + 4, hi + 11]);
+        let plan = RegionPlan::from_cuts(cuts.clone());
+        let got = region_windows(r.tuples(), s.tuples(), &plan);
+        assert!(got == batch, "plan {plan_no} diverges: cuts {cuts:?}");
     }
 }
 

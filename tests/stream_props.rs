@@ -2,7 +2,7 @@
 //! inputs, *any* arrival permutation within the lateness bound and *any*
 //! watermark schedule, the streamed results of all three set operations
 //! must be tuple-, interval-, lineage- and marginal-identical to batch LAWA
-//! on the same inputs — and the epoch-partitioned executor must agree too.
+//! on the same inputs.
 //!
 //! All equivalence checks go through the shared differential oracle
 //! (`tests/common/oracle.rs`).
@@ -13,8 +13,7 @@ use common::oracle::{assert_plateau, assert_stream_matches_batch};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use tp_stream::{
-    apply_epoched, CollectingSink, EngineConfig, EpochConfig, ReplayConfig, ReplayEvent, Side,
-    StreamEngine, StreamScript,
+    CollectingSink, EngineConfig, ReplayConfig, ReplayEvent, Side, StreamEngine, StreamScript,
 };
 use tp_workloads::SynthConfig;
 use tpdb::prelude::*;
@@ -126,27 +125,6 @@ fn random_manual_schedules_with_scrambled_pushes_match_batch() {
         engine.finish(&mut sink).unwrap();
         assert_eq!(engine.late_dropped(), [0, 0], "case {case}");
         assert_stream_matches_batch(&sink, &r, &s, &vars);
-    }
-}
-
-#[test]
-fn epoched_executor_matches_batch_on_random_inputs() {
-    let mut rng = StdRng::seed_from_u64(0x57AE_A403);
-    for case in 0..10u64 {
-        let mut vars = VarTable::new();
-        let (r, s) = tp_workloads::synth::generate(
-            &SynthConfig::with_facts(rng.random_range(50..300usize), 3, 70 + case),
-            &mut vars,
-        );
-        let cfg = EpochConfig {
-            epoch_width: rng.random_range(5..200i64),
-            threads: rng.random_range(1..6usize),
-        };
-        for op in SetOp::ALL {
-            let got = apply_epoched(op, &r, &s, &cfg, Some(&vars)).canonicalized();
-            let batch = apply(op, &r, &s).canonicalized();
-            assert_eq!(got, batch, "case {case}, {op}, {cfg:?}");
-        }
     }
 }
 
