@@ -4,7 +4,9 @@
 //! `TP_SCALE`-adjusted size and returns either a rendered table (Tables
 //! II–IV) or an [`ExperimentResult`] (the figures) whose rows are the x-axis
 //! values and whose columns are approaches — the same series the paper
-//! plots.
+//! plots. [`BenchReport`] bundles the three gated `bench_lawa` sections:
+//! memoized valuation, continuous vs naive re-batch, and observability
+//! overhead.
 
 use std::fmt::Write as _;
 
@@ -454,35 +456,22 @@ impl LawaValuationBench {
         self.tree_walker_ms / self.arena_memoized_ms.max(1e-9)
     }
 
-    /// Renders the result as a JSON object (hand-rolled; the workspace has
-    /// no serde_json).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "  \"experiment\": \"lawa_memoized_valuation\",\n",
-                "  \"tuples\": {},\n",
-                "  \"levels\": {},\n",
-                "  \"rounds\": {},\n",
-                "  \"output_tuples\": {},\n",
-                "  \"lineage_nodes\": {},\n",
-                "  \"tree_walker_ms\": {:.3},\n",
-                "  \"arena_memoized_ms\": {:.3},\n",
-                "  \"speedup\": {:.2},\n",
-                "  \"max_sum_delta\": {:.3e},\n",
-                "  \"lineage_equality\": \"O(1) LineageRef compare\"\n",
-                "}}\n"
+    /// The failed gates (empty = pass): memoization must win ≥ 2× and
+    /// both paths must agree to 1e-6.
+    pub fn gates(&self) -> Vec<String> {
+        failed([
+            (
+                self.speedup() >= 2.0,
+                format!("speedup: memoized valuation {:.2}× < 2×", self.speedup()),
             ),
-            self.tuples,
-            self.levels,
-            self.rounds,
-            self.output_tuples,
-            self.lineage_nodes,
-            self.tree_walker_ms,
-            self.arena_memoized_ms,
-            self.speedup(),
-            self.max_sum_delta,
-        )
+            (
+                self.max_sum_delta < 1e-6,
+                format!(
+                    "max_sum_delta: tree and arena valuation disagree by {:.3e} (gate: < 1e-6)",
+                    self.max_sum_delta
+                ),
+            ),
+        ])
     }
 
     /// Human-readable summary line.
@@ -577,8 +566,7 @@ pub fn lawa_valuation_bench(tuples: usize, levels: usize, rounds: usize) -> Lawa
 /// *short* tuples. Every short tuple clips one LAWA window out of the
 /// long tuple's validity, so all `cells` windows of a fact carry the same
 /// deep chain as a shared subformula — exactly the repeated-lineage
-/// pattern both the memoized valuation and the columnar kernel exist for.
-/// Shared by `lawa_valuation_bench` and `raw_speed_bench`.
+/// pattern the memoized valuation exists for.
 fn shared_subformula_workload(tuples: usize, levels: usize) -> (TpRelation, VarTable) {
     use tp_core::fact::Fact;
     use tp_core::interval::Interval;
@@ -624,126 +612,6 @@ fn shared_subformula_workload(tuples: usize, levels: usize) -> (TpRelation, VarT
     (acc, vars)
 }
 
-/// One per-operation LAWA throughput measurement (the sweep itself, not
-/// valuation): guards the `O(n log n)` set-operation hot path against
-/// regressions per figure series.
-#[derive(Debug, Clone)]
-pub struct OpThroughput {
-    /// The operation measured.
-    pub op: SetOp,
-    /// Tuples per input relation.
-    pub tuples: usize,
-    /// Best-of-three wall milliseconds for one full operation (sort +
-    /// sweep + λ-functions).
-    pub ms: f64,
-    /// Input tuples processed per second, in millions.
-    pub mtuples_per_s: f64,
-    /// Output cardinality (sanity anchor: Theorem 1 keeps it linear).
-    pub output_tuples: usize,
-}
-
-/// Measures all three TP set operations on the single-fact synthetic
-/// workload at each given size (best of three runs per point).
-pub fn lawa_op_throughput(sizes: &[usize]) -> Vec<OpThroughput> {
-    let mut out = Vec::new();
-    for &tuples in sizes {
-        let mut vars = VarTable::new();
-        let (r, s) =
-            tp_workloads::synth::generate(&SynthConfig::single_fact(tuples, 77), &mut vars);
-        for op in SetOp::ALL {
-            let mut best = f64::INFINITY;
-            let mut output_tuples = 0usize;
-            for _ in 0..3 {
-                let (ms, res) = crate::runner::time_ms(|| tp_core::ops::apply(op, &r, &s));
-                output_tuples = res.len();
-                std::hint::black_box(res.len());
-                best = best.min(ms);
-            }
-            let total = (r.len() + s.len()) as f64;
-            out.push(OpThroughput {
-                op,
-                tuples,
-                ms: best,
-                mtuples_per_s: total / best / 1_000.0,
-                output_tuples,
-            });
-        }
-    }
-    out
-}
-
-/// Result of the arena intern-contention micro-benchmark: the identical
-/// multi-threaded intern workload against a single-lock arena (the PR 1
-/// design) and against the lock-striped arena.
-#[derive(Debug, Clone)]
-pub struct ContentionBench {
-    /// Concurrent interning threads.
-    pub threads: usize,
-    /// And-chain nodes built per thread (3 interns per link).
-    pub nodes_per_thread: usize,
-    /// Lock stripes of the striped arena.
-    pub shards: usize,
-    /// Wall milliseconds on the single-`RwLock` arena.
-    pub single_lock_ms: f64,
-    /// Wall milliseconds on the striped arena.
-    pub striped_ms: f64,
-    /// Hardware threads of the machine the numbers were taken on (stripe
-    /// wins need real parallelism; on one core the two layouts tie).
-    pub hardware_threads: usize,
-}
-
-impl ContentionBench {
-    /// `single_lock_ms / striped_ms`.
-    pub fn speedup(&self) -> f64 {
-        self.single_lock_ms / self.striped_ms.max(1e-9)
-    }
-}
-
-/// Runs the intern-contention workload: each thread builds its own
-/// and-chain over distinct variables (the region-parallel advance's worker
-/// pattern: mostly disjoint nodes) while periodically re-interning a small
-/// shared variable pool (the hit path every worker shares).
-pub fn arena_contention_bench(threads: usize, nodes_per_thread: usize) -> ContentionBench {
-    use tp_core::arena::{LineageArena, LineageNode, MAX_SHARDS};
-    use tp_core::lineage::TupleId;
-
-    let run = |shards: usize| -> f64 {
-        let arena = LineageArena::with_shards(shards);
-        let (ms, _) = crate::runner::time_ms(|| {
-            std::thread::scope(|scope| {
-                for t in 0..threads as u64 {
-                    let arena = &arena;
-                    scope.spawn(move || {
-                        let base = 1_000_000 + t * 10 * nodes_per_thread as u64;
-                        let mut chain = arena.intern(LineageNode::Var(TupleId(base)));
-                        for i in 1..nodes_per_thread as u64 {
-                            let v = arena.intern(LineageNode::Var(TupleId(base + i)));
-                            chain = arena.intern(LineageNode::And(chain, v));
-                            // Shared hit-path probe: an already interned
-                            // node every worker keeps re-requesting.
-                            let _ = arena.intern(LineageNode::Var(TupleId(i % 64)));
-                        }
-                        std::hint::black_box(chain);
-                    });
-                }
-            });
-        });
-        ms
-    };
-    // Warm up the allocator, then measure both layouts on identical work.
-    let _ = run(MAX_SHARDS);
-    ContentionBench {
-        threads,
-        nodes_per_thread,
-        shards: MAX_SHARDS,
-        single_lock_ms: run(1),
-        striped_ms: run(MAX_SHARDS),
-        hardware_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
 /// Result of the streaming acceptance benchmark: the incremental engine
 /// against the naive alternative that re-runs batch LAWA over the full
 /// released prefix on every watermark advance.
@@ -774,6 +642,24 @@ impl StreamingBench {
     /// `naive_rebatch_ms / incremental_ms`.
     pub fn speedup(&self) -> f64 {
         self.naive_rebatch_ms / self.incremental_ms.max(1e-9)
+    }
+
+    /// The failed gates (empty = pass): streamed ≡ batch, and the engine
+    /// must beat naive re-batch ≥ 2×.
+    pub fn gates(&self) -> Vec<String> {
+        failed([
+            (
+                self.batch_equal,
+                "streaming.batch_equal: streamed results diverge from batch LAWA".to_string(),
+            ),
+            (
+                self.speedup() >= 2.0,
+                format!(
+                    "streaming.speedup: incremental engine only {:.2}× over naive re-batch (gate: 2×)",
+                    self.speedup()
+                ),
+            ),
+        ])
     }
 }
 
@@ -832,691 +718,7 @@ pub fn streaming_bench(tuples: usize, advance_every: usize) -> StreamingBench {
     }
 }
 
-/// Result of the bounded-memory streaming benchmark: a sliding-window
-/// synthetic stream replayed through a **reclaiming** engine
-/// ([`tp_stream::ReclaimConfig`] — private arena, one sealed segment per
-/// advance, retirement below the live frontier). The gate: steady-state
-/// arena residency must stay within 2× of the one-window warm-up
-/// footprint, independent of how many epochs replay, while results stay
-/// tuple-identical to batch LAWA.
-#[derive(Debug, Clone)]
-pub struct MemoryBench {
-    /// Epochs generated (one watermark advance each).
-    pub epochs: usize,
-    /// Watermark advances actually executed.
-    pub advances: u64,
-    /// Tuples per input side across the whole run.
-    pub tuples_per_side: usize,
-    /// Peak live arena nodes over the first 8 advances (the one-window
-    /// footprint, before retirement has anything to reclaim).
-    pub one_window_nodes: usize,
-    /// Peak live arena nodes over the second half of the run.
-    pub steady_max_nodes: usize,
-    /// Live arena nodes after the final advance.
-    pub final_nodes: usize,
-    /// Segments retired over the run.
-    pub retired_segments: u64,
-    /// Nodes whose storage retirement released.
-    pub retired_nodes: u64,
-    /// Resident arena bytes after the final advance.
-    pub final_resident_bytes: usize,
-    /// Whether the materialized stream output equals batch LAWA for all
-    /// three operations.
-    pub batch_equal: bool,
-}
-
-impl MemoryBench {
-    /// `steady_max_nodes / one_window_nodes` — ≤ 2.0 means the arena
-    /// plateaued (the CI gate).
-    pub fn plateau_ratio(&self) -> f64 {
-        self.steady_max_nodes as f64 / self.one_window_nodes.max(1) as f64
-    }
-
-    /// The acceptance predicate of the `memory-bounded-stream` CI job.
-    pub fn bounded(&self) -> bool {
-        self.batch_equal && self.plateau_ratio() <= 2.0
-    }
-}
-
-/// Replays a sliding-window synthetic stream of `epochs` epochs through a
-/// reclaiming engine, sampling live arena nodes after every advance and
-/// cross-checking the materialized output against batch LAWA (untimed).
-pub fn memory_bounded_bench(epochs: usize) -> MemoryBench {
-    use tp_core::ops::apply;
-    use tp_stream::{EngineConfig, MaterializingSink, ReclaimConfig, ReplayEvent, StreamEngine};
-    use tp_workloads::{sliding_synth_stream, SlidingConfig};
-
-    let epochs = epochs.max(16);
-    let mut vars = VarTable::new();
-    let w = sliding_synth_stream(
-        &SlidingConfig {
-            epochs,
-            ..Default::default()
-        },
-        &mut vars,
-    );
-    let mut engine = StreamEngine::new(EngineConfig {
-        reclaim: Some(ReclaimConfig {
-            keep_epochs: 2,
-            ..Default::default()
-        }),
-        ..Default::default()
-    });
-    let mut sink = MaterializingSink::new();
-    let mut live_samples: Vec<usize> = Vec::new();
-    for event in &w.script.events {
-        match event {
-            ReplayEvent::Arrive(side, t) => {
-                engine.push(*side, t.clone());
-            }
-            ReplayEvent::Advance(wm) => {
-                engine
-                    .advance(*wm, &mut sink)
-                    .expect("script watermarks monotone");
-                live_samples.push(engine.arena_stats().expect("reclaim engine").nodes);
-            }
-        }
-    }
-    engine.finish(&mut sink).expect("final advance");
-    let stats = engine.arena_stats().expect("reclaim engine");
-    let (retired_segments, retired_nodes) = engine.reclaimed();
-    let (one_window_nodes, steady_max_nodes) = peak_window(&live_samples, 8);
-    // Untimed equivalence check: re-intern the materialized deltas into
-    // the (global) current arena once, then compare per op.
-    let streamed = sink.replay();
-    let batch_equal = SetOp::ALL
-        .iter()
-        .all(|&op| streamed.relation(op).canonicalized() == apply(op, &w.r, &w.s).canonicalized());
-    MemoryBench {
-        epochs,
-        advances: live_samples.len() as u64,
-        tuples_per_side: w.r.len(),
-        one_window_nodes,
-        steady_max_nodes,
-        final_nodes: stats.nodes,
-        retired_segments,
-        retired_nodes,
-        final_resident_bytes: stats.resident_bytes,
-        batch_equal,
-    }
-}
-
-/// `(one-window, steady-state)` peaks of a per-advance memory sample
-/// series: the max over the first `warmup` samples versus the max over
-/// the second half — the plateau computation shared by the bounded-memory
-/// and multi-tenant benches (mirrored for tests in
-/// `tests/common/oracle.rs::assert_plateau`).
-fn peak_window(samples: &[usize], warmup: usize) -> (usize, usize) {
-    if samples.is_empty() {
-        return (0, 0);
-    }
-    let warmup = warmup.clamp(1, samples.len());
-    (
-        samples[..warmup].iter().copied().max().unwrap_or(0),
-        samples[samples.len() / 2..]
-            .iter()
-            .copied()
-            .max()
-            .unwrap_or(0),
-    )
-}
-
-/// Per-tenant summary of the multi-tenant soak benchmark.
-#[derive(Debug, Clone)]
-pub struct TenantSummary {
-    /// Tenant name.
-    pub name: String,
-    /// Watermark waves the tenant participated in.
-    pub advances: u64,
-    /// Rows pushed (vars registered) for the tenant.
-    pub pushed: u64,
-    /// Peak live arena nodes over the first 8 waves.
-    pub one_window_nodes: usize,
-    /// Peak live arena nodes over the second half of the run.
-    pub steady_nodes: usize,
-    /// Peak live `VarTable` entries over the first 8 waves.
-    pub one_window_vars: usize,
-    /// Peak live `VarTable` entries over the second half of the run.
-    pub steady_vars: usize,
-    /// Arena segments the tenant's engine retired.
-    pub retired_segments: u64,
-    /// Variables released from the tenant's sliding registry.
-    pub released_vars: u64,
-    /// Whether the tenant's stream result equals batch LAWA for all ops.
-    pub batch_equal: bool,
-}
-
-impl TenantSummary {
-    /// Steady-state over one-window ratio of live arena nodes (gate ≤ 2).
-    pub fn node_plateau_ratio(&self) -> f64 {
-        self.steady_nodes as f64 / self.one_window_nodes.max(1) as f64
-    }
-
-    /// Steady-state over one-window ratio of live vars (gate ≤ 2).
-    pub fn var_plateau_ratio(&self) -> f64 {
-        self.steady_vars as f64 / self.one_window_vars.max(1) as f64
-    }
-}
-
-/// Result of the multi-tenant soak benchmark: N tenants with private
-/// arenas and sliding var registries behind one `StreamServer`, advanced
-/// in collective watermark waves sharded over a worker pool. The gates:
-/// per-tenant steady state ≤ 2× one-window on **both** memory axes (arena
-/// nodes and live `VarTable` entries), and stream ≡ batch per tenant.
-#[derive(Debug, Clone)]
-pub struct MultiTenantBench {
-    /// Per-tenant plateau and equivalence summaries.
-    pub tenants: Vec<TenantSummary>,
-    /// Worker threads the advance waves were sharded over.
-    pub workers: usize,
-    /// Epochs generated per tenant.
-    pub epochs: usize,
-    /// Wall milliseconds for the whole replay — pushes, advance waves,
-    /// and the per-wave memory-gauge sampling (two lock reads per tenant
-    /// per wave; negligible next to the sweeps, but included).
-    pub wall_ms: f64,
-    /// Rows pushed across all tenants.
-    pub total_rows: u64,
-}
-
-impl MultiTenantBench {
-    /// Aggregate ingest-to-result throughput in thousand rows per second.
-    pub fn krows_per_s(&self) -> f64 {
-        self.total_rows as f64 / self.wall_ms.max(1e-9)
-    }
-
-    /// Worst per-tenant arena plateau ratio.
-    pub fn worst_node_ratio(&self) -> f64 {
-        self.tenants
-            .iter()
-            .map(TenantSummary::node_plateau_ratio)
-            .fold(0.0, f64::max)
-    }
-
-    /// Worst per-tenant live-var plateau ratio — the `var_table_bounded`
-    /// gate.
-    pub fn worst_var_ratio(&self) -> f64 {
-        self.tenants
-            .iter()
-            .map(TenantSummary::var_plateau_ratio)
-            .fold(0.0, f64::max)
-    }
-
-    /// Whether every tenant's stream equals batch.
-    pub fn batch_equal(&self) -> bool {
-        self.tenants.iter().all(|t| t.batch_equal)
-    }
-
-    /// Smallest per-tenant advance count (the ≥ 50 soak gate).
-    pub fn min_advances(&self) -> u64 {
-        self.tenants.iter().map(|t| t.advances).min().unwrap_or(0)
-    }
-
-    /// The acceptance predicate of the `multi-tenant-soak` CI job.
-    pub fn bounded(&self) -> bool {
-        self.batch_equal() && self.worst_node_ratio() <= 2.0 && self.worst_var_ratio() <= 2.0
-    }
-}
-
-/// Replays `tenants` independent sliding-window streams of `epochs` epochs
-/// through one [`tp_stream::StreamServer`] (advance waves sharded over
-/// `workers` threads), sampling per-tenant live arena nodes and live vars
-/// after every wave, then cross-checks each tenant against batch LAWA
-/// (untimed).
-pub fn multi_tenant_bench(tenants: usize, epochs: usize, workers: usize) -> MultiTenantBench {
-    use tp_core::ops::apply;
-    use tp_stream::{MaterializingSink, ServerConfig, StreamServer, TenantId};
-    use tp_workloads::{multi_tenant_stream, replay_waves, MultiTenantConfig};
-
-    let tenants = tenants.max(2);
-    let epochs = epochs.max(16);
-    let scripts = multi_tenant_stream(&MultiTenantConfig {
-        tenants,
-        epochs,
-        ..Default::default()
-    });
-    let mut server: StreamServer<MaterializingSink> = StreamServer::new(ServerConfig {
-        workers: workers.max(1),
-        ..Default::default()
-    });
-    let ids: Vec<TenantId> = scripts
-        .iter()
-        .map(|s| server.add_tenant(s.name.clone(), MaterializingSink::new()))
-        .collect();
-    let mut node_samples = vec![Vec::new(); tenants];
-    let mut var_samples = vec![Vec::new(); tenants];
-    let (wall_ms, advances) = crate::runner::time_ms(|| {
-        replay_waves(&scripts, &mut server, &ids, |server| {
-            for (k, &id) in ids.iter().enumerate() {
-                node_samples[k].push(server.arena_stats(id).nodes);
-                var_samples[k].push(server.vars(id).live_vars());
-            }
-        })
-    });
-    for result in server.finish_all() {
-        result.expect("finish never regresses");
-    }
-
-    // Untimed: per-tenant batch oracle over the same rows.
-    let mut summaries = Vec::with_capacity(tenants);
-    let mut total_rows = 0u64;
-    for (k, script) in scripts.iter().enumerate() {
-        let id = ids[k];
-        let mut control_vars = tp_core::relation::VarTable::new();
-        let (r, s) = script.relations(&mut control_vars);
-        let streamed = server.sink(id).replay();
-        let batch_equal = SetOp::ALL
-            .iter()
-            .all(|&op| streamed.relation(op).canonicalized() == apply(op, &r, &s).canonicalized());
-        let (one_window_nodes, steady_nodes) = peak_window(&node_samples[k], 8);
-        let (one_window_vars, steady_vars) = peak_window(&var_samples[k], 8);
-        total_rows += server.pushed(id);
-        summaries.push(TenantSummary {
-            name: script.name.clone(),
-            advances,
-            pushed: server.pushed(id),
-            one_window_nodes,
-            steady_nodes,
-            one_window_vars,
-            steady_vars,
-            retired_segments: server.engine(id).reclaimed().0,
-            released_vars: server.engine(id).reclaimed_vars(),
-            batch_equal,
-        });
-    }
-    MultiTenantBench {
-        tenants: summaries,
-        workers: workers.max(1),
-        epochs,
-        wall_ms,
-        total_rows,
-    }
-}
-
-/// One point of the region-parallel advance scaling curve.
-#[derive(Debug, Clone)]
-pub struct ParallelAdvancePoint {
-    /// Region-worker budget of the engine (1 = sequential sweep).
-    pub workers: usize,
-    /// Summed wall milliseconds inside `advance`/`finish` — the sharded
-    /// sweep path, including the coordinator's serial stitch and delta
-    /// emission. The serial ingest between advances (identical at every
-    /// worker count) is excluded, so the curve measures what the workers
-    /// actually shard.
-    pub wall_ms: f64,
-    /// Advance throughput: released rows per second of advance time.
-    pub krows_per_s: f64,
-    /// Largest `AdvanceStats::regions_used` over the replay.
-    pub regions_max: usize,
-    /// Worst (largest) `AdvanceStats::region_balance` over the replay.
-    pub balance_worst: f64,
-    /// Whether the streamed result equals batch LAWA for all three ops —
-    /// checked untimed, per worker count.
-    pub batch_equal: bool,
-}
-
-/// Result of the region-parallel single-tenant advance benchmark: one
-/// **fat tenant** (every advance releases thousands of tuple pieces)
-/// replayed at several worker budgets, plus the Zipf-hot `skewed` stream
-/// whose load concentrates in one time region per epoch. Wall-clock
-/// scaling needs hardware parallelism — `hardware_threads` records what
-/// the run had (the CI smoke enforces the 4-worker speedup only on ≥ 4
-/// hardware threads; byte-identity is enforced everywhere).
-#[derive(Debug, Clone)]
-pub struct ParallelAdvanceBench {
-    /// Tuples per input side of the fat-tenant stream.
-    pub tuples_per_side: usize,
-    /// Watermark advances per replay.
-    pub advances: u64,
-    /// Hardware threads available to the run.
-    pub hardware_threads: usize,
-    /// Scaling curve on the evenly loaded fat-tenant stream.
-    pub fat: Vec<ParallelAdvancePoint>,
-    /// Scaling curve on the Zipf-hot skewed stream.
-    pub skewed: Vec<ParallelAdvancePoint>,
-}
-
-impl ParallelAdvanceBench {
-    /// Fat-tenant wall speedup of `workers` over the sequential sweep.
-    pub fn speedup_at(&self, workers: usize) -> f64 {
-        let wall = |w: usize| self.fat.iter().find(|p| p.workers == w).map(|p| p.wall_ms);
-        match (wall(1), wall(workers)) {
-            (Some(base), Some(at)) => base / at.max(1e-9),
-            _ => 0.0,
-        }
-    }
-
-    /// Whether every point of both curves matched batch LAWA.
-    pub fn batch_equal(&self) -> bool {
-        self.fat.iter().chain(&self.skewed).all(|p| p.batch_equal)
-    }
-}
-
-/// Replays one workload through an engine with the given region-worker
-/// budget: once timed (counting sink), once untimed with a collecting sink
-/// for the batch cross-check.
-fn parallel_advance_point(
-    w: &tp_workloads::StreamWorkload,
-    workers: usize,
-) -> ParallelAdvancePoint {
-    use tp_core::ops::apply;
-    use tp_stream::{
-        CollectingSink, CountingSink, EngineConfig, ParallelConfig, ReplayEvent, StreamEngine,
-    };
-
-    let cfg = || EngineConfig {
-        parallel: (workers > 1).then_some(ParallelConfig {
-            workers,
-            min_tuples: 256,
-            cuts: None,
-        }),
-        ..Default::default()
-    };
-    let mut regions_max = 1usize;
-    let mut balance_worst = 0.0f64;
-    // Timed: the advance/finish calls only — the path the workers shard.
-    // Ingest between advances is serial by design and identical at every
-    // worker count; including it would dilute the curve into measuring
-    // the push loop instead of the sweep the gate is about. (Sink
-    // emission and stitch run inside advance and ARE counted — they are
-    // the coordinator's inherent serial share.)
-    let mut engine = StreamEngine::new(cfg());
-    let mut sink = CountingSink::new();
-    let mut advance_ns = 0u128;
-    for event in &w.script.events {
-        match event {
-            ReplayEvent::Arrive(side, t) => {
-                engine.push(*side, t.clone());
-            }
-            ReplayEvent::Advance(wm) => {
-                let t0 = std::time::Instant::now();
-                let stats = engine.advance(*wm, &mut sink).expect("script monotone");
-                advance_ns += t0.elapsed().as_nanos();
-                regions_max = regions_max.max(stats.regions_used);
-                balance_worst = balance_worst.max(stats.region_balance());
-            }
-        }
-    }
-    let t0 = std::time::Instant::now();
-    engine.finish(&mut sink).expect("final advance");
-    advance_ns += t0.elapsed().as_nanos();
-    let wall_ms = advance_ns as f64 / 1e6;
-    // Untimed: the streamed result at THIS worker count equals batch.
-    let mut verify = CollectingSink::new();
-    w.script.run_into(cfg(), &mut verify);
-    let batch_equal = SetOp::ALL
-        .iter()
-        .all(|&op| verify.relation(op).canonicalized() == apply(op, &w.r, &w.s).canonicalized());
-    let rows = w.script.arrivals() as f64;
-    ParallelAdvancePoint {
-        workers,
-        wall_ms,
-        krows_per_s: rows / wall_ms.max(1e-9),
-        regions_max,
-        balance_worst,
-        batch_equal,
-    }
-}
-
-/// Runs the region-parallel advance scaling benchmark: a fat single-tenant
-/// sliding stream (`per_epoch` tuples per side per advance) and the
-/// Zipf-hot skewed stream, each replayed at every budget in `workers`.
-pub fn parallel_advance_bench(
-    per_epoch: usize,
-    epochs: usize,
-    workers: &[usize],
-) -> ParallelAdvanceBench {
-    use tp_workloads::{skewed_synth_stream, sliding_synth_stream, SkewedConfig, SlidingConfig};
-
-    let per_epoch = per_epoch.max(64);
-    let epochs = epochs.max(8);
-    let mut vars = VarTable::new();
-    let fat_stream = sliding_synth_stream(
-        &SlidingConfig {
-            epochs,
-            per_epoch,
-            facts: 64,
-            stride: 4096,
-            seed: 29,
-        },
-        &mut vars,
-    );
-    let skewed_stream = skewed_synth_stream(
-        &SkewedConfig {
-            epochs,
-            per_epoch,
-            stride: 4096,
-            ..Default::default()
-        },
-        &mut vars,
-    );
-    // Warm-up replays (discarded): the first measured point must not pay
-    // allocator growth and page faults for everyone.
-    let _ = parallel_advance_point(&fat_stream, 1);
-    let _ = parallel_advance_point(&skewed_stream, 1);
-    let fat: Vec<ParallelAdvancePoint> = workers
-        .iter()
-        .map(|&w| parallel_advance_point(&fat_stream, w))
-        .collect();
-    let skewed: Vec<ParallelAdvancePoint> = workers
-        .iter()
-        .map(|&w| parallel_advance_point(&skewed_stream, w))
-        .collect();
-    ParallelAdvanceBench {
-        tuples_per_side: fat_stream.r.len(),
-        advances: fat_stream.script.advances() as u64,
-        hardware_threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        fat,
-        skewed,
-    }
-}
-
-/// One measured point of the ingestion benchmark: one arrival order at one
-/// input size, the same replay run twice — legacy sorted-`Vec` buffer vs
-/// the gapped learned timestamp index — through otherwise identical
-/// engines.
-#[derive(Debug, Clone)]
-pub struct IngestPoint {
-    /// Arrival order of the replay: `in_order`, `shuffled` (bounded
-    /// lateness) or `reversed` (adversarial newest-first batches).
-    pub order: &'static str,
-    /// Tuples per input side.
-    pub tuples: usize,
-    /// Wall time of the full legacy replay (pushes + advances + finish —
-    /// ingestion cost surfaces as sorting inside `advance`).
-    pub legacy_ms: f64,
-    /// Wall time of the same replay on the gapped index (ingestion cost
-    /// surfaces as model-guided placement inside `push`).
-    pub index_ms: f64,
-    /// Highest pre-drain gap occupancy any advance observed, in permille
-    /// of allocated slots. Sane values sit in (0, 1000]; the CI smoke
-    /// hard-gates that range.
-    pub gap_occupancy_permille: u32,
-    /// Index rebuilds (re-spacing + model retrain) over the whole replay.
-    pub retrains: u64,
-    /// Worst per-advance p99 slot-shift distance over the replay.
-    pub shift_p99: u32,
-    /// Whether BOTH replays produced the batch LAWA results for all ops.
-    pub batch_equal: bool,
-}
-
-impl IngestPoint {
-    /// Legacy-over-index wall speedup (> 1 means the index wins).
-    pub fn speedup(&self) -> f64 {
-        self.legacy_ms / self.index_ms.max(1e-9)
-    }
-}
-
-/// Result of the `bench_ingest` experiment: the sort-vs-index ingestion
-/// curve — three arrival orders × the requested sizes, each point
-/// batch-verified on both buffer kinds.
-#[derive(Debug, Clone)]
-pub struct IngestBench {
-    /// Requested tuples-per-side sizes (ascending).
-    pub sizes: Vec<usize>,
-    /// One point per (size, arrival order), sizes outermost.
-    pub points: Vec<IngestPoint>,
-}
-
-impl IngestBench {
-    /// Whether every point of the curve matched batch LAWA on both kinds.
-    pub fn batch_equal(&self) -> bool {
-        self.points.iter().all(|p| p.batch_equal)
-    }
-
-    /// Mean legacy-over-index speedup across the arrival orders at the
-    /// largest measured size — the headline number of the history series.
-    pub fn speedup_at_largest(&self) -> f64 {
-        let largest = self.points.iter().map(|p| p.tuples).max().unwrap_or(0);
-        let at: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|p| p.tuples == largest)
-            .map(IngestPoint::speedup)
-            .collect();
-        if at.is_empty() {
-            return 0.0;
-        }
-        at.iter().sum::<f64>() / at.len() as f64
-    }
-}
-
-/// Replays `script` once end to end (pushes + advances + finish, all
-/// timed: the two buffer kinds pay their ingestion cost in different
-/// phases) and cross-checks the streamed result against batch LAWA.
-fn ingest_point_run(
-    w: &tp_workloads::StreamWorkload,
-    script: &tp_stream::StreamScript,
-    buffer: tp_stream::BufferKind,
-) -> (f64, u32, u64, u32, bool) {
-    use tp_core::ops::apply;
-    use tp_stream::{CollectingSink, EngineConfig, ReplayEvent, StreamEngine};
-
-    let mut engine = StreamEngine::new(EngineConfig {
-        buffer,
-        ..Default::default()
-    });
-    let mut sink = CollectingSink::new();
-    let (mut occ, mut retrains, mut shift_p99) = (0u32, 0u64, 0u32);
-    let t0 = std::time::Instant::now();
-    for event in &script.events {
-        match event {
-            ReplayEvent::Arrive(side, t) => {
-                engine.push(*side, t.clone());
-            }
-            ReplayEvent::Advance(wm) => {
-                let stats = engine.advance(*wm, &mut sink).expect("script monotone");
-                occ = occ.max(stats.gap_occupancy_permille);
-                retrains += stats.index_retrains;
-                shift_p99 = shift_p99.max(stats.shift_distance_p99);
-            }
-        }
-    }
-    engine.finish(&mut sink).expect("final advance");
-    let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
-    let batch_equal = SetOp::ALL
-        .iter()
-        .all(|&op| sink.relation(op).canonicalized() == apply(op, &w.r, &w.s).canonicalized());
-    (wall_ms, occ, retrains, shift_p99, batch_equal)
-}
-
-/// Runs the sort-vs-index ingestion benchmark at each size in `sizes`:
-/// the same sliding pair replayed in order, with a bounded-lateness
-/// shuffle, and with every inter-advance batch reversed (adversarial:
-/// each insert lands at the buffer's front).
-pub fn ingest_index_bench(sizes: &[usize]) -> IngestBench {
-    use tp_stream::{BufferKind, ReplayConfig, ReplayEvent, StreamScript};
-    use tp_workloads::{sliding_synth_stream, SlidingConfig};
-
-    const STRIDE: i64 = 4096;
-    let mut points = Vec::new();
-    for (i, &size) in sizes.iter().enumerate() {
-        let epochs = 24usize;
-        let per_epoch = (size / epochs).max(8);
-        let mut vars = VarTable::new();
-        let w = sliding_synth_stream(
-            &SlidingConfig {
-                epochs,
-                per_epoch,
-                facts: 64,
-                stride: STRIDE,
-                seed: 37,
-            },
-            &mut vars,
-        );
-        let advance_every = (2 * per_epoch).max(16);
-        let in_order = StreamScript::from_pair(
-            &w.r,
-            &w.s,
-            &ReplayConfig {
-                lateness: 0,
-                advance_every,
-                seed: 1,
-            },
-        );
-        let shuffled = StreamScript::from_pair(
-            &w.r,
-            &w.s,
-            &ReplayConfig {
-                lateness: STRIDE / 2,
-                advance_every,
-                seed: 2,
-            },
-        );
-        // Adversarial: every inter-advance batch arrives newest-first, so
-        // each insert displaces the batch placed before it.
-        let reversed = {
-            let mut events = Vec::with_capacity(in_order.events.len());
-            let mut batch = Vec::new();
-            for ev in &in_order.events {
-                match ev {
-                    ReplayEvent::Arrive(..) => batch.push(ev.clone()),
-                    ReplayEvent::Advance(_) => {
-                        batch.reverse();
-                        events.append(&mut batch);
-                        events.push(ev.clone());
-                    }
-                }
-            }
-            batch.reverse();
-            events.append(&mut batch);
-            StreamScript { events }
-        };
-        if i == 0 {
-            // Warm-up (discarded): the first timed point must not pay
-            // allocator growth for everyone.
-            let _ = ingest_point_run(&w, &in_order, BufferKind::Legacy);
-            let _ = ingest_point_run(&w, &in_order, BufferKind::Sorted);
-        }
-        for (order, script) in [
-            ("in_order", &in_order),
-            ("shuffled", &shuffled),
-            ("reversed", &reversed),
-        ] {
-            let (legacy_ms, _, _, _, legacy_eq) = ingest_point_run(&w, script, BufferKind::Legacy);
-            let (index_ms, occ, retrains, shift_p99, index_eq) =
-                ingest_point_run(&w, script, BufferKind::Sorted);
-            points.push(IngestPoint {
-                order,
-                tuples: w.r.len(),
-                legacy_ms,
-                index_ms,
-                gap_occupancy_permille: occ,
-                retrains,
-                shift_p99,
-                batch_equal: legacy_eq && index_eq,
-            });
-        }
-    }
-    IngestBench {
-        sizes: sizes.to_vec(),
-        points,
-    }
-}
-
-/// Result of the `bench_observability` experiment: the cost and
+/// The `observability` section of `bench_lawa`: the cost and
 /// correctness of the always-on observability layer. The same replay runs
 /// fully instrumented (metrics + stage spans, the default) and with every
 /// instrumentation layer force-disabled; the gates are
@@ -1560,14 +762,44 @@ impl ObservabilityBench {
         self.instrumented_ms / self.baseline_ms.max(1e-9)
     }
 
-    /// All correctness gates except the overhead ratio (which the smoke
-    /// gate checks against its own threshold).
-    pub fn correct(&self) -> bool {
-        self.logs_identical
-            && self.prometheus_ok
-            && self.json_ok
-            && self.trace_ok
-            && self.stage_coverage >= 0.95
+    /// The failed gates (empty = pass): byte-identical logs, well-formed
+    /// exports, stage coverage ≥ 95 % and overhead ≤ 1.10×.
+    pub fn gates(&self) -> Vec<String> {
+        failed([
+            (
+                self.logs_identical,
+                "observability.logs_identical: instrumented and uninstrumented runs emitted \
+                 different delta logs"
+                    .to_string(),
+            ),
+            (
+                self.prometheus_ok,
+                "observability.prometheus_ok: Prometheus text lacks an expected family".to_string(),
+            ),
+            (
+                self.json_ok,
+                "observability.json_ok: JSON metrics snapshot is malformed".to_string(),
+            ),
+            (
+                self.trace_ok,
+                "observability.trace_ok: chrome://tracing export is empty or malformed".to_string(),
+            ),
+            (
+                self.stage_coverage >= 0.95,
+                format!(
+                    "observability.stage_coverage: stage spans cover only {:.1}% of advance \
+                     wall time (gate: >= 95%)",
+                    self.stage_coverage * 100.0
+                ),
+            ),
+            (
+                self.overhead_ratio() <= 1.10,
+                format!(
+                    "observability.overhead_ratio: {:.3}× (gate: <= 1.10×)",
+                    self.overhead_ratio()
+                ),
+            ),
+        ])
     }
 }
 
@@ -1704,939 +936,55 @@ pub fn observability_bench(
     }
 }
 
-/// One stitch-scaling point of the raw-speed pass: the fat sliding stream
-/// replayed at one region-worker budget, stitched by pairwise tree
-/// reduction instead of the old k-way serial merge.
-#[derive(Debug, Clone)]
-pub struct RawStitchPoint {
-    /// Region-worker budget.
-    pub workers: usize,
-    /// Wall milliseconds over the advance/finish calls only (the path the
-    /// reduction parallelizes).
-    pub wall_ms: f64,
-    /// Deepest reduction tree any advance built (⌈log₂ regions⌉; 0 for the
-    /// sequential sweep).
-    pub depth_max: usize,
-    /// Whether the streamed result equals batch LAWA for all ops.
-    pub batch_equal: bool,
+/// The failed checks among `checks`, as messages (empty = all pass). A
+/// NaN reading compares false and therefore fails its check.
+fn failed<const N: usize>(checks: [(bool, String); N]) -> Vec<String> {
+    checks
+        .into_iter()
+        .filter(|(ok, _)| !ok)
+        .map(|(_, msg)| msg)
+        .collect()
 }
 
-/// Result of the `bench_raw_speed` experiment: the three raw-speed claims
-/// in one artifact — the columnar marginal kernel vs the per-root memoized
-/// walk (both cold), stitch scaling by worker count under the pairwise
-/// tree reduction, and the resident-bytes curve of interior-segment
-/// reclamation vs the prefix-ordered baseline under an immortal-facts
-/// workload.
-#[derive(Debug, Clone)]
-pub struct RawSpeedBench {
-    /// Tuples per base relation of the valuation workload.
-    pub tuples: usize,
-    /// Chained `∪Tp` levels of the valuation workload.
-    pub levels: usize,
-    /// Cold valuation passes timed per path.
-    pub rounds: usize,
-    /// Output tuples valuated per pass.
-    pub output_tuples: usize,
-    /// Milliseconds for `rounds` cold passes of per-root
-    /// [`tp_core::prob::marginal`] (cache cleared before every pass).
-    pub memoized_cold_ms: f64,
-    /// Milliseconds for `rounds` cold passes of the columnar
-    /// [`tp_core::prob::marginal_batch`] (cache cleared before every pass).
-    pub columnar_ms: f64,
-    /// Largest |per-root delta| between the two paths (must be ≤ 1e-12;
-    /// the kernel is bit-identical where the scalar path is exact).
-    pub max_delta: f64,
-    /// Stitch scaling curve, one point per requested worker budget.
-    pub stitch: Vec<RawStitchPoint>,
-    /// Epochs of the immortal-facts residency replay.
-    pub immortal_epochs: usize,
-    /// Advances of the immortal-facts replay.
-    pub immortal_advances: u64,
-    /// Interior (non-prefix) segment retires the interior-mode run made.
-    pub interior_retired_segments: u64,
-    /// Steady-state peak resident arena bytes with interior reclamation.
-    pub interior_steady_bytes: usize,
-    /// Steady-state peak resident arena bytes with the prefix-ordered
-    /// baseline (`ReclaimConfig { interior: false }`).
-    pub prefix_steady_bytes: usize,
-    /// Steady-state peak `live_vars` of the attached registry with
-    /// interior reclamation (cohort-granular release).
-    pub interior_steady_live_vars: usize,
-    /// Steady-state peak `live_vars` with the prefix-ordered baseline.
-    pub prefix_steady_live_vars: usize,
-    /// Whether BOTH immortal replays (interior and prefix) matched batch
-    /// LAWA for all ops.
-    pub immortal_batch_equal: bool,
-}
-
-impl RawSpeedBench {
-    /// `memoized_cold_ms / columnar_ms` (> 1 means the columnar kernel
-    /// wins; informational — wall ratios are hardware-dependent).
-    pub fn valuation_speedup(&self) -> f64 {
-        self.memoized_cold_ms / self.columnar_ms.max(1e-9)
-    }
-
-    /// `interior_steady_bytes / prefix_steady_bytes` — must stay < 1.0:
-    /// under immortal facts the prefix baseline cannot retire anything
-    /// behind the pinned segment, interior reclamation can.
-    pub fn residency_ratio(&self) -> f64 {
-        self.interior_steady_bytes as f64 / self.prefix_steady_bytes.max(1) as f64
-    }
-
-    /// `interior_steady_live_vars / prefix_steady_live_vars` — must stay
-    /// < 1.0: cohort-granular release drops the registry slice of every
-    /// interior-retired segment while the prefix baseline holds them all
-    /// behind the pinned cohort.
-    pub fn live_vars_ratio(&self) -> f64 {
-        self.interior_steady_live_vars as f64 / self.prefix_steady_live_vars.max(1) as f64
-    }
-
-    /// Whether every stitch point matched batch LAWA.
-    pub fn stitch_equal(&self) -> bool {
-        self.stitch.iter().all(|p| p.batch_equal)
-    }
-
-    /// The acceptance predicate of the `raw-speed-smoke` CI job (wall
-    /// speedups are informational and not part of it).
-    pub fn pass(&self) -> bool {
-        self.max_delta <= 1e-12
-            && self.stitch_equal()
-            && self.immortal_batch_equal
-            && self.interior_retired_segments > 0
-            && self.interior_steady_bytes < self.prefix_steady_bytes
-            && self.interior_steady_live_vars < self.prefix_steady_live_vars
-    }
-}
-
-/// Replays one workload at one region-worker budget, timing the
-/// advance/finish calls (the path the stitch reduction sits on) and
-/// recording the deepest reduction tree; batch cross-check untimed.
-fn raw_stitch_point(w: &tp_workloads::StreamWorkload, workers: usize) -> RawStitchPoint {
-    use tp_core::ops::apply;
-    use tp_stream::{
-        CollectingSink, CountingSink, EngineConfig, ParallelConfig, ReplayEvent, StreamEngine,
-    };
-
-    let cfg = || EngineConfig {
-        parallel: (workers > 1).then_some(ParallelConfig {
-            workers,
-            min_tuples: 256,
-            cuts: None,
-        }),
-        ..Default::default()
-    };
-    let mut engine = StreamEngine::new(cfg());
-    let mut sink = CountingSink::new();
-    let mut advance_ns = 0u128;
-    let mut depth_max = 0usize;
-    for event in &w.script.events {
-        match event {
-            ReplayEvent::Arrive(side, t) => {
-                engine.push(*side, t.clone());
-            }
-            ReplayEvent::Advance(wm) => {
-                let t0 = std::time::Instant::now();
-                let stats = engine.advance(*wm, &mut sink).expect("script monotone");
-                advance_ns += t0.elapsed().as_nanos();
-                depth_max = depth_max.max(stats.stitch_depth);
-            }
-        }
-    }
-    let t0 = std::time::Instant::now();
-    engine.finish(&mut sink).expect("final advance");
-    advance_ns += t0.elapsed().as_nanos();
-    let mut verify = CollectingSink::new();
-    w.script.run_into(cfg(), &mut verify);
-    let batch_equal = SetOp::ALL
-        .iter()
-        .all(|&op| verify.relation(op).canonicalized() == apply(op, &w.r, &w.s).canonicalized());
-    RawStitchPoint {
-        workers,
-        wall_ms: advance_ns as f64 / 1e6,
-        depth_max,
-        batch_equal,
-    }
-}
-
-/// Replays the immortal-facts stream through a reclaiming engine in one
-/// retirement mode with an **attached sliding var registry**, sampling
-/// resident arena bytes and registry `live_vars` after every advance.
-/// The registry mirrors a real deployment's push-time registration
-/// cadence — one variable per arriving tuple — so var cohorts seal with
-/// the same boundaries as the arena segments they are bound to, and the
-/// cohort-release schedule under test matches production shape.
-/// Returns `(resident bytes, live vars, interior retires, batch_equal)`.
-fn immortal_residency(
-    w: &tp_workloads::StreamWorkload,
-    interior: bool,
-) -> (Vec<usize>, Vec<usize>, u64, bool) {
-    use std::sync::Arc;
-    use tp_core::ops::apply;
-    use tp_stream::{EngineConfig, MaterializingSink, ReclaimConfig, ReplayEvent, StreamEngine};
-
-    let vars = Arc::new(VarTable::new());
-    let mut engine = StreamEngine::new(EngineConfig {
-        reclaim: Some(ReclaimConfig {
-            keep_epochs: 2,
-            interior,
-            vars: Some(Arc::clone(&vars)),
-            ..Default::default()
-        }),
-        ..Default::default()
-    });
-    let mut sink = MaterializingSink::new();
-    let mut resident: Vec<usize> = Vec::new();
-    let mut live_vars: Vec<usize> = Vec::new();
-    let mut interior_retired = 0u64;
-    let mut registered = 0u64;
-    for event in &w.script.events {
-        match event {
-            ReplayEvent::Arrive(side, t) => {
-                vars.register_shared(format!("m{registered}"), 0.5)
-                    .expect("bench registry accepts registration");
-                registered += 1;
-                engine.push(*side, t.clone());
-            }
-            ReplayEvent::Advance(wm) => {
-                let stats = engine
-                    .advance(*wm, &mut sink)
-                    .expect("script watermarks monotone");
-                interior_retired += stats.interior_retired_segments;
-                resident.push(engine.arena_stats().expect("reclaim engine").resident_bytes);
-                live_vars.push(vars.live_vars());
-            }
-        }
-    }
-    let fin = engine.finish(&mut sink).expect("final advance");
-    interior_retired += fin.interior_retired_segments;
-    let streamed = sink.replay();
-    let batch_equal = SetOp::ALL
-        .iter()
-        .all(|&op| streamed.relation(op).canonicalized() == apply(op, &w.r, &w.s).canonicalized());
-    (resident, live_vars, interior_retired, batch_equal)
-}
-
-/// Runs the raw-speed pass benchmark: columnar marginal kernel vs the
-/// per-root memoized walk (both cold, `rounds` passes each), pairwise
-/// stitch reduction scaling at every budget in `workers`, and the
-/// interior-vs-prefix resident-bytes comparison under the immortal-facts
-/// workload (`epochs.max(48)` epochs).
-pub fn raw_speed_bench(
-    tuples: usize,
-    levels: usize,
-    rounds: usize,
-    per_epoch: usize,
-    epochs: usize,
-    workers: &[usize],
-) -> RawSpeedBench {
-    use tp_workloads::{
-        immortal_facts_stream, sliding_synth_stream, ImmortalConfig, SlidingConfig,
-    };
-
-    let rounds = rounds.max(1);
-    // Columnar kernel vs per-root memoized walk, both cold: the kernel's
-    // claim is first-pass (post-advance / post-retire) valuation speed, so
-    // the memo cache is cleared before every timed pass on both paths. The
-    // comparison runs in a **shared** arena deliberately salted with
-    // unrelated resident lineage on both sides of the workload — the
-    // kernel's walk is pruned to the roots' reachable cones, so bystander
-    // nodes in the same segment range must cost it nothing. (The PR 8
-    // version hid the dense-walk sensitivity in a private arena.)
-    let (memoized_cold_ms, columnar_ms, max_delta, output_tuples) = {
-        let arena = tp_core::arena::LineageArena::shared(4);
-        let _scope = tp_core::arena::LineageArena::enter(&arena);
-        let clutter = |tag: u64, n: usize| {
-            use tp_core::arena::LineageNode;
-            use tp_core::lineage::TupleId;
-            let base = 50_000_000 + tag * 10_000_000;
-            let mut chain = arena.intern(LineageNode::Var(TupleId(base)));
-            for i in 1..n.max(2) as u64 {
-                let v = arena.intern(LineageNode::Var(TupleId(base + i)));
-                chain = arena.intern(LineageNode::Or(chain, v));
-            }
-            chain
-        };
-        // Another query's resident 1OF lineage, interned before the
-        // workload so it sits squarely inside the roots' segment range.
-        let _bystander_lo = clutter(0, tuples * levels.max(2));
-        let (acc, vars) = shared_subformula_workload(tuples, levels);
-        let _bystander_hi = clutter(1, tuples * levels.max(2));
-        let lineages: Vec<_> = acc.iter().map(|t| t.lineage).collect();
-        let (memoized_cold_ms, scalar) = crate::runner::time_ms(|| {
-            let mut out = Vec::new();
-            for _ in 0..rounds {
-                vars.clear_valuation_cache();
-                out = lineages
-                    .iter()
-                    .map(|l| tp_core::prob::marginal(l, &vars).expect("vars registered"))
-                    .collect();
-            }
-            out
-        });
-        let (columnar_ms, columnar) = crate::runner::time_ms(|| {
-            let mut out = Vec::new();
-            for _ in 0..rounds {
-                vars.clear_valuation_cache();
-                out = tp_core::prob::marginal_batch(&lineages, &vars).expect("vars registered");
-            }
-            out
-        });
-        let max_delta = scalar
-            .iter()
-            .zip(&columnar)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        (memoized_cold_ms, columnar_ms, max_delta, acc.len())
-    };
-
-    // Stitch scaling: the fat sliding stream at every worker budget, with
-    // a discarded warm-up replay (allocator growth must not bill the
-    // first measured point).
-    let mut svars = VarTable::new();
-    let fat = sliding_synth_stream(
-        &SlidingConfig {
-            epochs: (epochs / 4).max(8),
-            per_epoch: per_epoch.max(64),
-            facts: 64,
-            stride: 4096,
-            seed: 41,
-        },
-        &mut svars,
-    );
-    let _ = raw_stitch_point(&fat, 1);
-    let stitch: Vec<RawStitchPoint> = workers.iter().map(|&n| raw_stitch_point(&fat, n)).collect();
-
-    // Residency: the immortal-facts stream pins segment 0 for the whole
-    // run, so the prefix baseline cannot retire anything mid-run while
-    // interior reclamation punches holes behind the pin.
-    let mut ivars = VarTable::new();
-    let immortal = immortal_facts_stream(
-        &ImmortalConfig {
-            epochs: epochs.max(48),
-            ..Default::default()
-        },
-        &mut ivars,
-    );
-    let (interior_resident, interior_live, interior_retired_segments, i_equal) =
-        immortal_residency(&immortal, true);
-    let (prefix_resident, prefix_live, _, p_equal) = immortal_residency(&immortal, false);
-    let (_, interior_steady_bytes) = peak_window(&interior_resident, 8);
-    let (_, prefix_steady_bytes) = peak_window(&prefix_resident, 8);
-    let (_, interior_steady_live_vars) = peak_window(&interior_live, 8);
-    let (_, prefix_steady_live_vars) = peak_window(&prefix_live, 8);
-
-    RawSpeedBench {
-        tuples,
-        levels,
-        rounds,
-        output_tuples,
-        memoized_cold_ms,
-        columnar_ms,
-        max_delta,
-        stitch,
-        immortal_epochs: epochs.max(48),
-        immortal_advances: interior_resident.len() as u64,
-        interior_retired_segments,
-        interior_steady_bytes,
-        prefix_steady_bytes,
-        interior_steady_live_vars,
-        prefix_steady_live_vars,
-        immortal_batch_equal: i_equal && p_equal,
-    }
-}
-
-/// Result of the `bench_pipeline` experiment: a compiled relational plan
-/// — the join + grouped-aggregate alert-rule shape — running as a
-/// **standing incremental pipeline** ([`tp_stream::Pipeline`]) over the
-/// delta streams of two replayed relations, against the naive twin that
-/// re-executes the batch plan over the re-encoded closed region at every
-/// watermark; plus the reclaim-mode operator-state plateau under an
-/// extend-dominated immortal-facts stream.
-#[derive(Debug, Clone)]
-pub struct PipelineBench {
-    /// Tuples per side of the replayed synth stream.
-    pub tuples: usize,
-    /// Distinct join keys (facts) the tuples spread over. Spread matters:
-    /// IVM join/aggregate maintenance is O(per-key state) per delta, so
-    /// the keys/tuples ratio fixes the standing-view cost model.
-    pub facts: usize,
-    /// Watermark advances of the replayed run (including the final flush).
-    pub advances: u64,
-    /// Operator deltas the standing pipeline processed over the run.
-    pub pipeline_deltas: u64,
-    /// Rows of the materialized view after the final advance.
-    pub output_rows: usize,
-    /// Wall milliseconds of the incremental run — pushes, advances and
-    /// final flush with the pipeline attached and maintained per delta.
-    pub incremental_ms: f64,
-    /// Wall milliseconds of the naive twin: the same replay through a
-    /// plain engine, with the batch plan re-executed over the re-encoded
-    /// closed region at every advance (the mode of operation a standing
-    /// pipeline replaces).
-    pub naive_rebatch_ms: f64,
-    /// Whether the standing view at finish equals the batch plan over the
-    /// fully closed region.
-    pub batch_equal: bool,
-    /// Epochs of the immortal-facts plateau replay.
-    pub plateau_epochs: usize,
-    /// Segments the reclaiming engine retired underneath the pipeline.
-    pub retired_segments: u64,
-    /// Peak pipeline state rows over the warm-up window.
-    pub warmup_state_rows: usize,
-    /// Peak pipeline state rows over the second half of the run.
-    pub steady_state_rows: usize,
-    /// Whether the reclaim-mode standing view still equals batch at
-    /// finish (owned operator state must survive retirement).
-    pub plateau_batch_equal: bool,
-}
-
-impl PipelineBench {
-    /// `naive_rebatch_ms / incremental_ms` (informational — wall ratios
-    /// are hardware-dependent; the equality and plateau gates are the
-    /// contract).
-    pub fn speedup(&self) -> f64 {
-        self.naive_rebatch_ms / self.incremental_ms.max(1e-9)
-    }
-
-    /// `steady_state_rows / warmup_state_rows` — must stay ≤ 1.0: under
-    /// an extend-dominated stream the pipeline only retracts-and-regrows
-    /// standing rows, so its state must not outgrow the warm-up peak.
-    pub fn plateau_ratio(&self) -> f64 {
-        self.steady_state_rows as f64 / self.warmup_state_rows.max(1) as f64
-    }
-
-    /// The acceptance predicate of the `streaming-plans-smoke` CI job
-    /// (the wall speedup is informational and not part of it).
-    pub fn pass(&self) -> bool {
-        self.batch_equal
-            && self.plateau_batch_equal
-            && self.retired_segments > 0
-            && self.steady_state_rows <= self.warmup_state_rows
-    }
-}
-
-/// Runs the standing-pipeline benchmark. The plan is the alert-rule
-/// shape both streaming examples deploy — two sources joined on the fact
-/// key, then grouped per key with count/max aggregates — compiled onto
-/// the engine's `∪Tp`/`∩Tp` delta streams. Two parts: (1) `tuples` per
-/// side replayed out of order with an advance every `advance_every`
-/// arrivals, timed against the naive re-execute-batch-per-watermark
-/// twin and cross-checked for row identity; (2) an immortal-facts stream
-/// advanced `epochs` times through a reclaiming engine, sampling the
-/// pipeline's state rows per advance for the plateau gate.
-pub fn pipeline_bench(
-    tuples: usize,
-    facts: usize,
-    advance_every: usize,
-    epochs: usize,
-) -> PipelineBench {
-    use tp_core::fact::Fact;
-    use tp_core::interval::Interval;
-    use tp_core::lineage::{Lineage, TupleId};
-    use tp_core::tuple::TpTuple;
-    use tp_relalg::{bind_sources, AggFn, Plan, Relation, Row, Schema};
-    use tp_stream::{
-        encode_relation, CollectingSink, EngineConfig, ReclaimConfig, ReplayConfig, ReplayEvent,
-        Side, StreamEngine, StreamScript,
-    };
-
-    // Synth facts are single-value, so an encoded source row is [k, ts, te].
-    let schema = Schema::new(["k", "ts", "te"]);
-    let leaf = || Plan::values(Relation::empty(Schema::new(["k", "ts", "te"])));
-    let plan = leaf()
-        .hash_join(leaf(), vec![0], vec![0])
-        .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
-    let taps = [SetOp::Union, SetOp::Intersect];
-    let batch_rows = |sink: &CollectingSink| -> Vec<Row> {
-        let tables: Vec<Relation> = taps
-            .iter()
-            .map(|&op| encode_relation(&sink.relation(op), &schema))
-            .collect();
-        let mut rows = bind_sources(&plan, &tables).execute().rows;
-        rows.sort();
-        rows
-    };
-
-    let mut vars = VarTable::new();
-    let (r, s) =
-        tp_workloads::synth::generate(&SynthConfig::with_facts(tuples, facts, 907), &mut vars);
-    let script = StreamScript::from_pair(
-        &r,
-        &s,
-        &ReplayConfig {
-            lateness: 6,
-            advance_every: advance_every.max(1),
-            seed: 29,
-        },
-    );
-
-    // Timed: the standing pipeline, maintained delta-by-delta.
-    let mut engine = StreamEngine::with_plan(EngineConfig::default(), &plan, &taps)
-        .expect("alert plan compiles");
-    let mut sink = CollectingSink::new();
-    let mut advances = 0u64;
-    let mut pipeline_deltas = 0u64;
-    let (incremental_ms, ()) = crate::runner::time_ms(|| {
-        for event in &script.events {
-            match event {
-                ReplayEvent::Arrive(side, t) => {
-                    engine.push(*side, t.clone());
-                }
-                ReplayEvent::Advance(wm) => {
-                    let stats = engine.advance(*wm, &mut sink).expect("script monotone");
-                    pipeline_deltas += stats.pipeline_deltas;
-                    advances += 1;
-                }
-            }
-        }
-        pipeline_deltas += engine
-            .finish(&mut sink)
-            .expect("final advance")
-            .pipeline_deltas;
-        advances += 1;
-    });
-    let streamed = engine
-        .pipeline()
-        .expect("plan attached")
-        .materialized()
-        .rows;
-
-    // Timed: the naive twin — plain engine, batch plan re-executed over
-    // the full closed region at every advance.
-    let mut naive_engine = StreamEngine::new(EngineConfig::default());
-    let mut naive_sink = CollectingSink::new();
-    let (naive_rebatch_ms, naive_rows) = crate::runner::time_ms(|| {
-        for event in &script.events {
-            match event {
-                ReplayEvent::Arrive(side, t) => {
-                    naive_engine.push(*side, t.clone());
-                }
-                ReplayEvent::Advance(wm) => {
-                    naive_engine
-                        .advance(*wm, &mut naive_sink)
-                        .expect("script monotone");
-                    // The re-planned view is recomputed and dropped — the
-                    // recomputation IS the cost under measurement.
-                    let _ = batch_rows(&naive_sink);
-                }
-            }
-        }
-        naive_engine.finish(&mut naive_sink).expect("final advance");
-        batch_rows(&naive_sink)
-    });
-    let batch_equal = streamed == naive_rows;
-
-    // Reclaim-mode plateau: immortal facts cut by the watermark — after
-    // warm-up every advance re-emits each fact's output as an Extend, so
-    // the pipeline only retracts-and-regrows standing rows while interior
-    // reclamation retires engine history underneath its owned state.
-    let epochs = epochs.max(24);
-    let plateau_facts = facts.clamp(2, 8);
-    let mut p_engine = StreamEngine::with_plan(
-        EngineConfig {
-            reclaim: Some(ReclaimConfig {
-                keep_epochs: 2,
-                ..Default::default()
-            }),
-            ..Default::default()
-        },
-        &plan,
-        &taps,
-    )
-    .expect("alert plan compiles");
-    let mut p_sink = CollectingSink::new();
-    for f in 0..plateau_facts as i64 {
-        for (side, off) in [(Side::Left, 0u64), (Side::Right, 1)] {
-            p_engine.push(
-                side,
-                TpTuple::new(
-                    Fact::single(f),
-                    Lineage::var(TupleId(f as u64 * 2 + off)),
-                    Interval::at(0, epochs as i64 * 10),
-                ),
-            );
-        }
-    }
-    let mut state_samples = Vec::new();
-    for epoch in 0..epochs as i64 {
-        p_engine
-            .advance((epoch + 1) * 10, &mut p_sink)
-            .expect("monotone");
-        state_samples.push(p_engine.pipeline().expect("plan attached").state_rows());
-    }
-    p_engine.finish(&mut p_sink).expect("final advance");
-    let (retired_segments, _) = p_engine.reclaimed();
-    let (warmup_state_rows, steady_state_rows) = peak_window(&state_samples, 4);
-    let plateau_batch_equal = p_engine
-        .pipeline()
-        .expect("plan attached")
-        .materialized()
-        .rows
-        == batch_rows(&p_sink);
-
-    PipelineBench {
-        tuples,
-        facts,
-        advances,
-        pipeline_deltas,
-        output_rows: streamed.len(),
-        incremental_ms,
-        naive_rebatch_ms,
-        batch_equal,
-        plateau_epochs: epochs,
-        retired_segments,
-        warmup_state_rows,
-        steady_state_rows,
-        plateau_batch_equal,
-    }
-}
-
-/// Result of the `bench_adaptive` experiment: the three adaptive-pipeline
-/// claims, hard-gated on correctness. (a) **Rate-aware re-optimization** —
-/// the swap-bait alert rule (a keyed nested-loop join the cost model
-/// rewrites into a hash join once it has observed source delta rates)
-/// replayed through a frozen engine vs one re-optimizing every few
-/// advances: the adaptive run must emit a **byte-identical delta log**,
-/// keep a row-identical standing view, and (informationally) beat the
-/// frozen wall clock. (b) **Multi-plan operator-state sharing** — three
-/// alert rules over one shared join compiled into a single pipeline vs
-/// three dedicated engines: views row-identical, standing state strictly
-/// sub-additive. (c) **Lane-blocked valuation** — the shared views'
-/// ∨-folded lineage valuated by the batch kernel vs the memoized per-root
-/// walk, both cold, within 1e-12.
-#[derive(Debug, Clone)]
-pub struct AdaptiveBench {
-    /// Tuples per side of the replayed synth stream.
-    pub tuples: usize,
-    /// Distinct facts (join keys) the tuples spread over.
-    pub facts: usize,
-    /// Watermark advances of the replayed run (including the final flush).
-    pub advances: u64,
-    /// Plan swaps the adaptive engine performed mid-run.
-    pub swaps: u64,
-    /// Wall milliseconds of the frozen engine (keyed nested-loop join for
-    /// the whole run).
-    pub frozen_ms: f64,
-    /// Wall milliseconds of the re-optimizing engine (same replay; the
-    /// cost model installs the hash join at the first cadence boundary).
-    pub adaptive_ms: f64,
-    /// Whether the two delta logs are byte-identical.
-    pub log_identical: bool,
-    /// Whether the two standing views are row-identical at finish.
-    pub views_equal: bool,
-    /// Plans compiled into the shared pipeline.
-    pub shared_plans: usize,
-    /// Physical operators serving more than one plan after hash-consing.
-    pub shared_operators: usize,
-    /// Standing state rows of the shared pipeline at finish.
-    pub shared_state_rows: usize,
-    /// Summed standing state rows of the dedicated per-plan engines.
-    pub duplicated_state_rows: usize,
-    /// Whether every shared view equals its dedicated-engine twin.
-    pub shared_views_equal: bool,
-    /// Output roots valuated in the kernel comparison.
-    pub valuation_roots: usize,
-    /// Cold valuation rounds timed (min-of not used; totals compared).
-    pub valuation_rounds: usize,
-    /// Wall milliseconds of the per-root memoized walk, cache cleared
-    /// before every round.
-    pub memoized_cold_ms: f64,
-    /// Wall milliseconds of the lane-blocked batch kernel, same protocol.
-    pub kernel_cold_ms: f64,
-    /// Largest |memoized − kernel| over all roots.
-    pub kernel_max_delta: f64,
-}
-
-impl AdaptiveBench {
-    /// `frozen_ms / adaptive_ms` (> 1 means re-planning against observed
-    /// rates beat the frozen plan; informational — wall ratios are
-    /// hardware-dependent, the log/view identity is the contract).
-    pub fn reopt_speedup(&self) -> f64 {
-        self.frozen_ms / self.adaptive_ms.max(1e-9)
-    }
-
-    /// `shared_state_rows / duplicated_state_rows` — must stay < 1.0:
-    /// hash-consed operators hold their state once for all plans.
-    pub fn shared_state_ratio(&self) -> f64 {
-        self.shared_state_rows as f64 / self.duplicated_state_rows.max(1) as f64
-    }
-
-    /// `memoized_cold_ms / kernel_cold_ms` (informational).
-    pub fn simd_valuation_speedup(&self) -> f64 {
-        self.memoized_cold_ms / self.kernel_cold_ms.max(1e-9)
-    }
-
-    /// The acceptance predicate of the `pipeline-adaptive-smoke` CI job
-    /// (wall speedups are informational and not part of it).
-    pub fn pass(&self) -> bool {
-        self.log_identical
-            && self.views_equal
-            && self.swaps >= 1
-            && self.shared_views_equal
-            && self.shared_state_rows < self.duplicated_state_rows
-            && self.kernel_max_delta <= 1e-12
-    }
-}
-
-/// Runs the adaptive-pipeline benchmark (see [`AdaptiveBench`]).
-pub fn adaptive_pipeline_bench(
-    tuples: usize,
-    facts: usize,
-    advance_every: usize,
-    reopt_every: u64,
-    rounds: usize,
-) -> AdaptiveBench {
-    use tp_core::lineage::Lineage;
-    use tp_relalg::{AggFn, Plan, Predicate, Relation, Schema};
-    use tp_stream::{
-        CollectingSink, EngineConfig, MaterializingSink, ReplayConfig, ReplayEvent, StreamEngine,
-        StreamScript, StreamSink,
-    };
-
-    let leaf = || Plan::values(Relation::empty(Schema::new(["k", "ts", "te"])));
-    let mut vars = VarTable::new();
-    let (r, s) =
-        tp_workloads::synth::generate(&SynthConfig::with_facts(tuples, facts, 907), &mut vars);
-    let script = StreamScript::from_pair(
-        &r,
-        &s,
-        &ReplayConfig {
-            lateness: 6,
-            advance_every: advance_every.max(1),
-            seed: 31,
-        },
-    );
-    fn run_script<S: StreamSink>(
-        script: &StreamScript,
-        engine: &mut StreamEngine,
-        sink: &mut S,
-    ) -> u64 {
-        let mut advances = 0u64;
-        for event in &script.events {
-            match event {
-                ReplayEvent::Arrive(side, t) => {
-                    engine.push(*side, t.clone());
-                }
-                ReplayEvent::Advance(wm) => {
-                    engine.advance(*wm, sink).expect("script monotone");
-                    advances += 1;
-                }
-            }
-        }
-        engine.finish(sink).expect("final advance");
-        advances + 1
-    }
-
-    // (a) Frozen vs re-optimizing, over the swap-bait rule: a keyed
-    // nested-loop join the cost model provably rewrites into a hash join.
-    let bait = leaf()
-        .nl_join(leaf(), Predicate::col_eq(0, 3))
-        .aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]);
-    let taps = [SetOp::Union, SetOp::Intersect];
-    let mut frozen = StreamEngine::with_plan(EngineConfig::default(), &bait, &taps)
-        .expect("swap-bait plan compiles");
-    let mut frozen_sink = MaterializingSink::new();
-    let (frozen_ms, advances) =
-        crate::runner::time_ms(|| run_script(&script, &mut frozen, &mut frozen_sink));
-    let mut adaptive = StreamEngine::with_plan(
-        EngineConfig {
-            reopt_every: Some(reopt_every.max(1)),
-            ..Default::default()
-        },
-        &bait,
-        &taps,
-    )
-    .expect("swap-bait plan compiles");
-    let mut adaptive_sink = MaterializingSink::new();
-    let (adaptive_ms, _) =
-        crate::runner::time_ms(|| run_script(&script, &mut adaptive, &mut adaptive_sink));
-    let swaps = adaptive.pipeline().expect("plan attached").reopts();
-    let log_identical = frozen_sink.deltas == adaptive_sink.deltas;
-    let views_equal = frozen
-        .pipeline()
-        .expect("plan attached")
-        .materialized()
-        .rows
-        == adaptive
-            .pipeline()
-            .expect("plan attached")
-            .materialized()
-            .rows;
-
-    // (b) Three alert rules over one shared `∪Tp ⋈ ∩Tp` hash join: one
-    // hash-consed pipeline vs three dedicated engines.
-    let join = || leaf().hash_join(leaf(), vec![0], vec![0]);
-    let plans = vec![
-        join().aggregate(vec![0], vec![AggFn::Count, AggFn::Max(2)]),
-        join().project(vec![0]).distinct(),
-        join().aggregate(vec![0], vec![AggFn::Min(1)]),
-    ];
-    let plan_taps = vec![vec![SetOp::Union, SetOp::Intersect]; plans.len()];
-    let mut shared = StreamEngine::with_plans(EngineConfig::default(), &plans, &plan_taps)
-        .expect("shared rules compile");
-    let mut shared_sink = CollectingSink::new();
-    run_script(&script, &mut shared, &mut shared_sink);
-    let mut duplicated_state_rows = 0usize;
-    let mut shared_views_equal = true;
-    for (i, plan) in plans.iter().enumerate() {
-        let mut solo = StreamEngine::with_plan(EngineConfig::default(), plan, &plan_taps[i])
-            .expect("rule compiles");
-        let mut solo_sink = CollectingSink::new();
-        run_script(&script, &mut solo, &mut solo_sink);
-        let solo_pipeline = solo.pipeline().expect("plan attached");
-        duplicated_state_rows += solo_pipeline.state_rows();
-        shared_views_equal &= shared
-            .pipeline()
-            .expect("plans attached")
-            .materialized_view(i)
-            .rows
-            == solo_pipeline.materialized().rows;
-    }
-    let shared_pipeline = shared.pipeline().expect("plans attached");
-    let shared_operators = shared_pipeline.shared_operators();
-    let shared_state_rows = shared_pipeline.state_rows();
-
-    // (c) Lane-blocked kernel vs memoized per-root walk, both cold, over
-    // the 1OF view lineage of a shared project/distinct chain (Corollary 1
-    // keeps single-tap chains in the kernel's fast path).
-    let prefix = || leaf().project(vec![0, 1, 2]).distinct();
-    let chains = vec![
-        prefix(),
-        prefix().project(vec![0, 2]).distinct(),
-        prefix().project(vec![0, 1]).distinct(),
-    ];
-    let chain_taps = vec![vec![SetOp::Union]; chains.len()];
-    let mut val_engine = StreamEngine::with_plans(EngineConfig::default(), &chains, &chain_taps)
-        .expect("chains compile");
-    let mut val_sink = CollectingSink::new();
-    run_script(&script, &mut val_engine, &mut val_sink);
-    let val_pipeline = val_engine.pipeline().expect("plans attached");
-    let lineages: Vec<Lineage> = (0..chains.len())
-        .flat_map(|v| val_pipeline.materialized_lineage_view(v))
-        .map(|(_, tree)| Lineage::from_tree(&tree))
-        .collect();
-    let rounds = rounds.max(1);
-    let (memoized_cold_ms, scalar) = crate::runner::time_ms(|| {
-        let mut out = Vec::new();
-        for _ in 0..rounds {
-            vars.clear_valuation_cache();
-            out = lineages
-                .iter()
-                .map(|l| tp_core::prob::marginal(l, &vars).expect("vars registered"))
-                .collect();
-        }
-        out
-    });
-    let (kernel_cold_ms, batched) = crate::runner::time_ms(|| {
-        let mut out = Vec::new();
-        for _ in 0..rounds {
-            vars.clear_valuation_cache();
-            out = tp_core::prob::marginal_batch(&lineages, &vars).expect("vars registered");
-        }
-        out
-    });
-    let kernel_max_delta = scalar
-        .iter()
-        .zip(&batched)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-
-    AdaptiveBench {
-        tuples,
-        facts,
-        advances,
-        swaps,
-        frozen_ms,
-        adaptive_ms,
-        log_identical,
-        views_equal,
-        shared_plans: plans.len(),
-        shared_operators,
-        shared_state_rows,
-        duplicated_state_rows,
-        shared_views_equal,
-        valuation_roots: lineages.len(),
-        valuation_rounds: rounds,
-        memoized_cold_ms,
-        kernel_cold_ms,
-        kernel_max_delta,
-    }
-}
-
-/// The combined `BENCH_lawa.json` artifact: the memoized-valuation
-/// acceptance benchmark (top-level fields, unchanged schema) plus the
-/// per-operation throughput series, the arena-contention micro-benchmark
-/// and the streaming acceptance benchmark.
+/// The `BENCH_lawa.json` artifact: the memoized-valuation acceptance
+/// benchmark (top-level fields) plus the `streaming` and `observability`
+/// sections — the three contracts that need a release-build wall clock
+/// and so cannot live in `cargo test`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     /// Memoized valuation vs the legacy tree walker.
     pub valuation: LawaValuationBench,
-    /// LAWA operation throughput per op and input size.
-    pub ops: Vec<OpThroughput>,
-    /// Single-lock vs striped intern table.
-    pub contention: ContentionBench,
     /// Incremental engine vs naive re-run per watermark.
     pub streaming: StreamingBench,
-    /// Reclaiming engine steady-state residency (bounded-memory gate).
-    pub memory: MemoryBench,
-    /// Multi-tenant server soak: per-tenant arena + var-table plateaus.
-    pub tenants: MultiTenantBench,
-    /// Region-parallel single-tenant advance scaling (fat + skewed).
-    pub parallel: ParallelAdvanceBench,
-    /// Sort-vs-index ingestion curve (gapped learned timestamp index).
-    pub ingest: IngestBench,
-    /// Observability layer: instrumented-vs-uninstrumented cost + gates.
+    /// Observability layer: instrumented-vs-uninstrumented cost + exports.
     pub observability: ObservabilityBench,
-    /// Raw-speed pass: columnar kernel, stitch reduction, interior
-    /// reclamation.
-    pub raw_speed: RawSpeedBench,
-    /// Standing incremental pipelines: compiled plan vs naive re-batch.
-    pub pipeline: PipelineBench,
-    /// Adaptive pipelines: rate-aware re-optimization, multi-plan state
-    /// sharing, lane-blocked valuation.
-    pub adaptive: AdaptiveBench,
+    /// The `TP_SCALE` the run used.
+    pub tp_scale: f64,
+    /// Hardware threads of the machine that ran it.
+    pub hardware_threads: usize,
 }
 
 impl BenchReport {
-    /// Renders the whole report as JSON (hand-rolled; the workspace has no
-    /// serde_json). The valuation fields stay top-level so existing
-    /// consumers of `BENCH_lawa.json` keep working.
+    /// Renders the report as JSON. The valuation fields stay top-level so
+    /// existing consumers of `BENCH_lawa.json` keep working.
     pub fn to_json(&self) -> String {
-        let mut out = self.valuation.to_json();
-        // Splice the new sections before the closing brace.
-        let tail = out.rfind('}').expect("valuation JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let mut extra = String::new();
-        let _ = write!(extra, ",\n  \"lawa_ops\": [");
-        for (i, t) in self.ops.iter().enumerate() {
-            let _ = write!(
-                extra,
-                "{}\n    {{\"op\": \"{}\", \"tuples\": {}, \"ms\": {:.3}, \"mtuples_per_s\": {:.3}, \"output_tuples\": {}}}",
-                if i > 0 { "," } else { "" },
-                t.op.name(),
-                t.tuples,
-                t.ms,
-                t.mtuples_per_s,
-                t.output_tuples,
-            );
-        }
-        let _ = write!(
-            extra,
+        let (v, s, o) = (&self.valuation, &self.streaming, &self.observability);
+        format!(
             concat!(
-                "\n  ],\n",
-                "  \"arena_contention\": {{\n",
-                "    \"threads\": {},\n",
-                "    \"nodes_per_thread\": {},\n",
-                "    \"shards\": {},\n",
-                "    \"single_lock_ms\": {:.3},\n",
-                "    \"striped_ms\": {:.3},\n",
-                "    \"speedup\": {:.2},\n",
-                "    \"hardware_threads\": {},\n",
-                "    \"note\": \"before = single dedup stripe; after = hash-by-node dedup stripes; node storage appends are lock-free in both (segmented arena); stripes need hardware parallelism to win\"\n",
-                "  }},\n",
+                "{{\n",
+                "  \"experiment\": \"lawa_memoized_valuation\",\n",
+                "  \"tuples\": {},\n",
+                "  \"levels\": {},\n",
+                "  \"rounds\": {},\n",
+                "  \"output_tuples\": {},\n",
+                "  \"lineage_nodes\": {},\n",
+                "  \"tree_walker_ms\": {:.3},\n",
+                "  \"arena_memoized_ms\": {:.3},\n",
+                "  \"speedup\": {:.2},\n",
+                "  \"max_sum_delta\": {:.3e},\n",
+                "  \"lineage_equality\": \"O(1) LineageRef compare\",\n",
+                "  \"tp_scale\": {},\n",
+                "  \"hardware_threads\": {},\n",
                 "  \"streaming\": {{\n",
                 "    \"tuples\": {},\n",
                 "    \"arrivals\": {},\n",
@@ -2648,183 +996,7 @@ impl BenchReport {
                 "    \"extends\": {},\n",
                 "    \"batch_equal\": {}\n",
                 "  }},\n",
-                "  \"memory_bounded\": {{\n",
-                "    \"epochs\": {},\n",
-                "    \"advances\": {},\n",
-                "    \"tuples_per_side\": {},\n",
-                "    \"one_window_nodes\": {},\n",
-                "    \"steady_max_nodes\": {},\n",
-                "    \"final_nodes\": {},\n",
-                "    \"retired_segments\": {},\n",
-                "    \"retired_nodes\": {},\n",
-                "    \"final_resident_bytes\": {},\n",
-                "    \"plateau_ratio\": {:.3},\n",
-                "    \"batch_equal\": {},\n",
-                "    \"note\": \"reclaiming engine: steady-state live nodes must stay <= 2x the one-window footprint\"\n",
-                "  }},\n",
-                "  \"multi_tenant\": {{\n",
-                "    \"tenants\": {},\n",
-                "    \"workers\": {},\n",
-                "    \"epochs\": {},\n",
-                "    \"advances\": {},\n",
-                "    \"total_rows\": {},\n",
-                "    \"wall_ms\": {:.3},\n",
-                "    \"krows_per_s\": {:.3},\n",
-                "    \"worst_arena_plateau_ratio\": {:.3},\n",
-                "    \"var_table_plateau_ratio\": {:.3},\n",
-                "    \"var_table_bounded\": {},\n",
-                "    \"batch_equal\": {},\n",
-                "    \"note\": \"per-tenant private arenas + sliding var registries: steady state must stay <= 2x one-window on both axes, for every tenant\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.contention.threads,
-            self.contention.nodes_per_thread,
-            self.contention.shards,
-            self.contention.single_lock_ms,
-            self.contention.striped_ms,
-            self.contention.speedup(),
-            self.contention.hardware_threads,
-            self.streaming.tuples,
-            self.streaming.arrivals,
-            self.streaming.advances,
-            self.streaming.incremental_ms,
-            self.streaming.naive_rebatch_ms,
-            self.streaming.speedup(),
-            self.streaming.inserts,
-            self.streaming.extends,
-            self.streaming.batch_equal,
-            self.memory.epochs,
-            self.memory.advances,
-            self.memory.tuples_per_side,
-            self.memory.one_window_nodes,
-            self.memory.steady_max_nodes,
-            self.memory.final_nodes,
-            self.memory.retired_segments,
-            self.memory.retired_nodes,
-            self.memory.final_resident_bytes,
-            self.memory.plateau_ratio(),
-            self.memory.batch_equal,
-            self.tenants.tenants.len(),
-            self.tenants.workers,
-            self.tenants.epochs,
-            self.tenants.min_advances(),
-            self.tenants.total_rows,
-            self.tenants.wall_ms,
-            self.tenants.krows_per_s(),
-            self.tenants.worst_node_ratio(),
-            self.tenants.worst_var_ratio(),
-            self.tenants.worst_var_ratio() <= 2.0,
-            self.tenants.batch_equal(),
-        );
-        out.push_str(&extra);
-        // The region-parallel scaling section is spliced in (the section
-        // above already closes the root object).
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let curve = |points: &[ParallelAdvancePoint]| {
-            let mut s = String::from("[");
-            for (i, p) in points.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{}\n      {{\"workers\": {}, \"wall_ms\": {:.3}, \"krows_per_s\": {:.3}, \
-                     \"regions_max\": {}, \"balance_worst\": {:.3}, \"batch_equal\": {}}}",
-                    if i > 0 { "," } else { "" },
-                    p.workers,
-                    p.wall_ms,
-                    p.krows_per_s,
-                    p.regions_max,
-                    p.balance_worst,
-                    p.batch_equal,
-                );
-            }
-            s.push_str("\n    ]");
-            s
-        };
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"parallel_advance\": {{\n",
-                "    \"tuples_per_side\": {},\n",
-                "    \"advances\": {},\n",
-                "    \"hardware_threads\": {},\n",
-                "    \"speedup_at_4\": {:.2},\n",
-                "    \"batch_equal\": {},\n",
-                "    \"fat_tenant\": {},\n",
-                "    \"skewed\": {},\n",
-                "    \"note\": \"one tenant's advance sharded over workers by timeline region; \
-                 byte-identical to the sequential sweep at every worker count (CI-gated); wall_ms \
-                 sums the advance/finish calls only (the sharded path incl. serial stitch+emit); \
-                 the wall speedup is informational — it needs hardware threads, like \
-                 arena_contention\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.parallel.tuples_per_side,
-            self.parallel.advances,
-            self.parallel.hardware_threads,
-            self.parallel.speedup_at(4),
-            self.parallel.batch_equal(),
-            curve(&self.parallel.fat),
-            curve(&self.parallel.skewed),
-        );
-        // The ingestion-index section is spliced in the same way.
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let mut curve = String::from("[");
-        for (i, p) in self.ingest.points.iter().enumerate() {
-            let _ = write!(
-                curve,
-                "{}\n      {{\"order\": \"{}\", \"tuples\": {}, \"legacy_ms\": {:.3}, \
-                 \"index_ms\": {:.3}, \"speedup\": {:.3}, \"gap_occupancy_permille\": {}, \
-                 \"retrains\": {}, \"shift_p99\": {}, \"batch_equal\": {}}}",
-                if i > 0 { "," } else { "" },
-                p.order,
-                p.tuples,
-                p.legacy_ms,
-                p.index_ms,
-                p.speedup(),
-                p.gap_occupancy_permille,
-                p.retrains,
-                p.shift_p99,
-                p.batch_equal,
-            );
-        }
-        curve.push_str("\n    ]");
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"ingest_index\": {{\n",
-                "    \"speedup_at_largest\": {:.3},\n",
-                "    \"batch_equal\": {},\n",
-                "    \"curve\": {},\n",
-                "    \"note\": \"same replay, legacy sorted-Vec buffer vs gapped learned timestamp \
-                 index; wall time covers pushes + advances + finish so each kind pays its \
-                 ingestion cost where it actually lands; every point batch-verified on both \
-                 kinds (CI-gated); the wall speedup is informational\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.ingest.speedup_at_largest(),
-            self.ingest.batch_equal(),
-            curve,
-        );
-        // The observability section is spliced in the same way.
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"observability\": {{\n",
+                "  \"observability\": {{\n",
                 "    \"tuples\": {},\n",
                 "    \"advances\": {},\n",
                 "    \"rounds\": {},\n",
@@ -2838,418 +1010,71 @@ impl BenchReport {
                 "    \"stage_coverage\": {:.4},\n",
                 "    \"note\": \"same replay instrumented (metrics + stage spans, the default) vs \
                  force-disabled; the delta logs must be byte-identical, stage spans must tile >= \
-                 95% of each advance, and the instrumented wall must stay within 1.10x \
-                 (CI-gated)\"\n",
+                 95% of each advance, and the instrumented wall must stay within 1.10x\"\n",
                 "  }}\n",
                 "}}\n",
             ),
-            self.observability.tuples,
-            self.observability.advances,
-            self.observability.rounds,
-            self.observability.instrumented_ms,
-            self.observability.baseline_ms,
-            self.observability.overhead_ratio(),
-            self.observability.logs_identical,
-            self.observability.prometheus_ok,
-            self.observability.json_ok,
-            self.observability.trace_ok,
-            self.observability.stage_coverage,
-        );
-        // The raw-speed section is spliced in the same way.
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let mut curve = String::from("[");
-        for (i, p) in self.raw_speed.stitch.iter().enumerate() {
-            let _ = write!(
-                curve,
-                "{}\n      {{\"workers\": {}, \"wall_ms\": {:.3}, \"depth_max\": {}, \
-                 \"batch_equal\": {}}}",
-                if i > 0 { "," } else { "" },
-                p.workers,
-                p.wall_ms,
-                p.depth_max,
-                p.batch_equal,
-            );
-        }
-        curve.push_str("\n    ]");
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"raw_speed\": {{\n",
-                "    \"tuples\": {},\n",
-                "    \"levels\": {},\n",
-                "    \"rounds\": {},\n",
-                "    \"output_tuples\": {},\n",
-                "    \"memoized_cold_ms\": {:.3},\n",
-                "    \"columnar_ms\": {:.3},\n",
-                "    \"valuation_speedup\": {:.3},\n",
-                "    \"max_delta\": {:.3e},\n",
-                "    \"stitch\": {},\n",
-                "    \"immortal_epochs\": {},\n",
-                "    \"immortal_advances\": {},\n",
-                "    \"interior_retired_segments\": {},\n",
-                "    \"interior_steady_bytes\": {},\n",
-                "    \"prefix_steady_bytes\": {},\n",
-                "    \"residency_ratio\": {:.3},\n",
-                "    \"interior_steady_live_vars\": {},\n",
-                "    \"prefix_steady_live_vars\": {},\n",
-                "    \"live_vars_ratio\": {:.3},\n",
-                "    \"batch_equal\": {},\n",
-                "    \"note\": \"columnar marginal kernel vs per-root memoized walk (both cold, \
-                 in a shared arena salted with bystander lineage; equality <= 1e-12 CI-gated); \
-                 pairwise stitch reduction batch-verified at every worker count (CI-gated); \
-                 immortal-facts residency AND registry live_vars: interior steady state must \
-                 stay strictly below the prefix-ordered baseline on both axes (CI-gated); wall \
-                 speedups are informational\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.raw_speed.tuples,
-            self.raw_speed.levels,
-            self.raw_speed.rounds,
-            self.raw_speed.output_tuples,
-            self.raw_speed.memoized_cold_ms,
-            self.raw_speed.columnar_ms,
-            self.raw_speed.valuation_speedup(),
-            self.raw_speed.max_delta,
-            curve,
-            self.raw_speed.immortal_epochs,
-            self.raw_speed.immortal_advances,
-            self.raw_speed.interior_retired_segments,
-            self.raw_speed.interior_steady_bytes,
-            self.raw_speed.prefix_steady_bytes,
-            self.raw_speed.residency_ratio(),
-            self.raw_speed.interior_steady_live_vars,
-            self.raw_speed.prefix_steady_live_vars,
-            self.raw_speed.live_vars_ratio(),
-            self.raw_speed.immortal_batch_equal,
-        );
-        // The standing-pipelines section is spliced in the same way.
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"streaming_plans\": {{\n",
-                "    \"tuples\": {},\n",
-                "    \"facts\": {},\n",
-                "    \"advances\": {},\n",
-                "    \"pipeline_deltas\": {},\n",
-                "    \"output_rows\": {},\n",
-                "    \"incremental_ms\": {:.3},\n",
-                "    \"naive_rebatch_ms\": {:.3},\n",
-                "    \"speedup\": {:.2},\n",
-                "    \"batch_equal\": {},\n",
-                "    \"plateau_epochs\": {},\n",
-                "    \"retired_segments\": {},\n",
-                "    \"warmup_state_rows\": {},\n",
-                "    \"steady_state_rows\": {},\n",
-                "    \"plateau_ratio\": {:.3},\n",
-                "    \"plateau_batch_equal\": {},\n",
-                "    \"note\": \"a compiled join+aggregate alert rule running as a standing \
-                 incremental pipeline over the engine's delta streams, vs re-executing the batch \
-                 plan over the re-encoded closed region at every watermark; the view must equal \
-                 batch at finish, and under an extend-dominated immortal-facts stream with \
-                 reclamation the operator state must plateau at its warm-up peak (both CI-gated); \
-                 the wall speedup is informational\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.pipeline.tuples,
-            self.pipeline.facts,
-            self.pipeline.advances,
-            self.pipeline.pipeline_deltas,
-            self.pipeline.output_rows,
-            self.pipeline.incremental_ms,
-            self.pipeline.naive_rebatch_ms,
-            self.pipeline.speedup(),
-            self.pipeline.batch_equal,
-            self.pipeline.plateau_epochs,
-            self.pipeline.retired_segments,
-            self.pipeline.warmup_state_rows,
-            self.pipeline.steady_state_rows,
-            self.pipeline.plateau_ratio(),
-            self.pipeline.plateau_batch_equal,
-        );
-        // The adaptive-pipeline section is spliced in the same way.
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let _ = write!(
-            out,
-            concat!(
-                ",\n  \"adaptive_pipeline\": {{\n",
-                "    \"tuples\": {},\n",
-                "    \"facts\": {},\n",
-                "    \"advances\": {},\n",
-                "    \"swaps\": {},\n",
-                "    \"frozen_ms\": {:.3},\n",
-                "    \"adaptive_ms\": {:.3},\n",
-                "    \"reopt_speedup\": {:.3},\n",
-                "    \"log_identical\": {},\n",
-                "    \"views_equal\": {},\n",
-                "    \"shared_plans\": {},\n",
-                "    \"shared_operators\": {},\n",
-                "    \"shared_state_rows\": {},\n",
-                "    \"duplicated_state_rows\": {},\n",
-                "    \"shared_state_ratio\": {:.3},\n",
-                "    \"shared_views_equal\": {},\n",
-                "    \"valuation_roots\": {},\n",
-                "    \"valuation_rounds\": {},\n",
-                "    \"memoized_cold_ms\": {:.3},\n",
-                "    \"kernel_cold_ms\": {:.3},\n",
-                "    \"simd_valuation_speedup\": {:.3},\n",
-                "    \"kernel_max_delta\": {:.3e},\n",
-                "    \"note\": \"rate-aware re-optimization (delta log must stay byte-identical \
-                 across the mid-run plan swap, CI-gated), hash-consed multi-plan state sharing \
-                 (standing rows strictly below the dedicated-engine sum, CI-gated), and the \
-                 lane-blocked batch kernel vs the memoized walk (<= 1e-12, CI-gated); wall \
-                 speedups are informational\"\n",
-                "  }}\n",
-                "}}\n",
-            ),
-            self.adaptive.tuples,
-            self.adaptive.facts,
-            self.adaptive.advances,
-            self.adaptive.swaps,
-            self.adaptive.frozen_ms,
-            self.adaptive.adaptive_ms,
-            self.adaptive.reopt_speedup(),
-            self.adaptive.log_identical,
-            self.adaptive.views_equal,
-            self.adaptive.shared_plans,
-            self.adaptive.shared_operators,
-            self.adaptive.shared_state_rows,
-            self.adaptive.duplicated_state_rows,
-            self.adaptive.shared_state_ratio(),
-            self.adaptive.shared_views_equal,
-            self.adaptive.valuation_roots,
-            self.adaptive.valuation_rounds,
-            self.adaptive.memoized_cold_ms,
-            self.adaptive.kernel_cold_ms,
-            self.adaptive.simd_valuation_speedup(),
-            self.adaptive.kernel_max_delta,
-        );
-        out
-    }
-
-    /// One flat JSON object summarizing this run — an entry of the
-    /// appended `history` series (flat on purpose: the hand-rolled
-    /// extractor matches entries without nested brackets).
-    pub fn history_entry(&self, generated_unix: u64) -> String {
-        format!(
-            concat!(
-                "{{\"generated_unix\": {}, \"valuation_speedup\": {:.2}, ",
-                "\"streaming_speedup\": {:.2}, \"union_mtuples_per_s\": {:.3}, ",
-                "\"contention_speedup\": {:.2}, \"memory_plateau_ratio\": {:.3}, ",
-                "\"memory_steady_nodes\": {}, \"tenant_var_plateau_ratio\": {:.3}, ",
-                "\"tenant_krows_per_s\": {:.3}, \"parallel_speedup_at_4\": {:.2}, ",
-                "\"ingest_speedup_at_largest\": {:.3}, \"obs_overhead_ratio\": {:.3}, ",
-                "\"raw_valuation_speedup\": {:.2}, \"raw_residency_ratio\": {:.3}, ",
-                "\"raw_live_vars_ratio\": {:.3}, \"pipeline_speedup\": {:.2}, ",
-                "\"pipeline_plateau_ratio\": {:.3}, \"reopt_speedup\": {:.3}, ",
-                "\"shared_state_ratio\": {:.3}, \"simd_valuation_speedup\": {:.3}}}"
-            ),
-            generated_unix,
-            self.valuation.speedup(),
-            self.streaming.speedup(),
-            self.ops
-                .iter()
-                .filter(|t| t.op == SetOp::Union)
-                .map(|t| t.mtuples_per_s)
-                .fold(0.0f64, f64::max),
-            self.contention.speedup(),
-            self.memory.plateau_ratio(),
-            self.memory.steady_max_nodes,
-            self.tenants.worst_var_ratio(),
-            self.tenants.krows_per_s(),
-            self.parallel.speedup_at(4),
-            self.ingest.speedup_at_largest(),
-            self.observability.overhead_ratio(),
-            self.raw_speed.valuation_speedup(),
-            self.raw_speed.residency_ratio(),
-            self.raw_speed.live_vars_ratio(),
-            self.pipeline.speedup(),
-            self.pipeline.plateau_ratio(),
-            self.adaptive.reopt_speedup(),
-            self.adaptive.shared_state_ratio(),
-            self.adaptive.simd_valuation_speedup(),
+            v.tuples,
+            v.levels,
+            v.rounds,
+            v.output_tuples,
+            v.lineage_nodes,
+            v.tree_walker_ms,
+            v.arena_memoized_ms,
+            v.speedup(),
+            v.max_sum_delta,
+            self.tp_scale,
+            self.hardware_threads,
+            s.tuples,
+            s.arrivals,
+            s.advances,
+            s.incremental_ms,
+            s.naive_rebatch_ms,
+            s.speedup(),
+            s.inserts,
+            s.extends,
+            s.batch_equal,
+            o.tuples,
+            o.advances,
+            o.rounds,
+            o.instrumented_ms,
+            o.baseline_ms,
+            o.overhead_ratio(),
+            o.logs_identical,
+            o.prometheus_ok,
+            o.json_ok,
+            o.trace_ok,
+            o.stage_coverage,
         )
     }
 
-    /// The full artifact with the run-over-run `history` series appended:
-    /// the latest run keeps the existing top-level schema (CI gates read
-    /// it unchanged), `entries` — prior entries plus this run's — ride
-    /// along under `"history"`.
-    pub fn to_json_with_history(&self, entries: &[String]) -> String {
-        let mut out = self.to_json();
-        let tail = out.rfind('}').expect("report JSON is an object");
-        out.truncate(tail);
-        while out.ends_with('\n') {
-            out.pop();
-        }
-        let mut extra = String::from(",\n  \"history\": [");
-        for (i, e) in entries.iter().enumerate() {
-            let _ = write!(extra, "{}\n    {}", if i > 0 { "," } else { "" }, e.trim());
-        }
-        extra.push_str("\n  ]\n}\n");
-        out.push_str(&extra);
+    /// Every failed gate of every section, one message each, prefixed by
+    /// the JSON key it reads (empty = the run passes).
+    pub fn gates(&self) -> Vec<String> {
+        let mut out = self.valuation.gates();
+        out.extend(self.streaming.gates());
+        out.extend(self.observability.gates());
         out
     }
 
     /// Human-readable summary.
     pub fn render(&self) -> String {
         let mut out = self.valuation.render();
-        let _ = writeln!(out, "\n== BENCH lawa: operation throughput ==");
-        for t in &self.ops {
-            let _ = writeln!(
-                out,
-                "{:<11} {:>8} tuples/rel  {:>9.2} ms  {:>7.2} Mtuples/s  {:>8} out",
-                t.op.name(),
-                t.tuples,
-                t.ms,
-                t.mtuples_per_s,
-                t.output_tuples,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: arena intern contention ({} threads × {} chain nodes, {} hw threads) ==\n\
-             1 dedup stripe (before) {:>9.1} ms\n\
-             {} dedup stripes (after){:>9.1} ms   ({:.2}× — appends are lock-free either way; stripes need hardware parallelism to win)",
-            self.contention.threads,
-            self.contention.nodes_per_thread,
-            self.contention.hardware_threads,
-            self.contention.single_lock_ms,
-            self.contention.shards,
-            self.contention.striped_ms,
-            self.contention.speedup(),
-        );
+        let (s, o) = (&self.streaming, &self.observability);
         let _ = writeln!(
             out,
             "\n== BENCH lawa: continuous vs naive re-batch ({} tuples/rel, {} advances) ==\n\
              incremental engine     {:>9.1} ms   ({} inserts, {} extends, all 3 ops)\n\
              naive re-run per wmark {:>9.1} ms\n\
              speedup                {:>9.2}×   (batch-equal: {})",
-            self.streaming.tuples,
-            self.streaming.advances,
-            self.streaming.incremental_ms,
-            self.streaming.inserts,
-            self.streaming.extends,
-            self.streaming.naive_rebatch_ms,
-            self.streaming.speedup(),
-            self.streaming.batch_equal,
-        );
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: bounded-memory streaming ({} epochs, {} advances) ==\n\
-             one-window footprint   {:>9} live nodes\n\
-             steady-state peak      {:>9} live nodes   (plateau ratio {:.2}, gate <= 2.0)\n\
-             retired                {:>9} nodes over {} segments (final {} nodes, {} KiB resident, batch-equal: {})",
-            self.memory.epochs,
-            self.memory.advances,
-            self.memory.one_window_nodes,
-            self.memory.steady_max_nodes,
-            self.memory.plateau_ratio(),
-            self.memory.retired_nodes,
-            self.memory.retired_segments,
-            self.memory.final_nodes,
-            self.memory.final_resident_bytes / 1024,
-            self.memory.batch_equal,
-        );
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: multi-tenant server ({} tenants × {} epochs, {} workers) ==\n\
-             aggregate ingest       {:>9.1} krows/s   ({} rows in {:.1} ms)\n\
-             worst arena plateau    {:>9.2}×   (gate <= 2.0)\n\
-             worst var-table plateau{:>9.2}×   (gate <= 2.0, batch-equal: {})",
-            self.tenants.tenants.len(),
-            self.tenants.epochs,
-            self.tenants.workers,
-            self.tenants.krows_per_s(),
-            self.tenants.total_rows,
-            self.tenants.wall_ms,
-            self.tenants.worst_node_ratio(),
-            self.tenants.worst_var_ratio(),
-            self.tenants.batch_equal(),
-        );
-        for t in &self.tenants.tenants {
-            let _ = writeln!(
-                out,
-                "  {:<10} {:>6} rows  arena {:>5}→{:<5} ({:.2}×)  vars {:>5}→{:<5} ({:.2}×)  released {} vars / {} segments",
-                t.name,
-                t.pushed,
-                t.one_window_nodes,
-                t.steady_nodes,
-                t.node_plateau_ratio(),
-                t.one_window_vars,
-                t.steady_vars,
-                t.var_plateau_ratio(),
-                t.released_vars,
-                t.retired_segments,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: region-parallel advance ({} tuples/side, {} advances, {} hw threads) ==",
-            self.parallel.tuples_per_side,
-            self.parallel.advances,
-            self.parallel.hardware_threads,
-        );
-        for (name, points) in [
-            ("fat tenant", &self.parallel.fat),
-            ("skewed (Zipf-hot)", &self.parallel.skewed),
-        ] {
-            let _ = writeln!(out, "  {name}:");
-            for p in points {
-                let _ = writeln!(
-                    out,
-                    "    {:>2} workers {:>9.1} ms  {:>8.1} krows/s  regions<={:<2} balance {:>5.2}  batch-equal: {}",
-                    p.workers,
-                    p.wall_ms,
-                    p.krows_per_s,
-                    p.regions_max,
-                    p.balance_worst,
-                    p.batch_equal,
-                );
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  speedup at 4 workers: {:.2}x (wall scaling needs hardware threads)",
-            self.parallel.speedup_at(4),
-        );
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: ingestion index (sort vs gapped learned index) =="
-        );
-        for p in &self.ingest.points {
-            let _ = writeln!(
-                out,
-                "  {:<9} {:>8} tuples/side  legacy {:>8.1} ms  index {:>8.1} ms  ({:.2}x)  occ {:>4}‰  retrains {:<4} shift-p99 {:<3} batch-equal: {}",
-                p.order,
-                p.tuples,
-                p.legacy_ms,
-                p.index_ms,
-                p.speedup(),
-                p.gap_occupancy_permille,
-                p.retrains,
-                p.shift_p99,
-                p.batch_equal,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  speedup at largest size: {:.2}x (informational; equality + occupancy are the gates)",
-            self.ingest.speedup_at_largest(),
+            s.tuples,
+            s.advances,
+            s.incremental_ms,
+            s.inserts,
+            s.extends,
+            s.naive_rebatch_ms,
+            s.speedup(),
+            s.batch_equal,
         );
         let _ = writeln!(
             out,
@@ -3258,144 +1083,25 @@ impl BenchReport {
              uninstrumented         {:>9.1} ms   (every layer force-disabled)\n\
              overhead               {:>9.2}×   (gate <= 1.10)\n\
              gates                  logs-identical: {}  prometheus: {}  json: {}  trace: {}  stage coverage: {:.1}%",
-            self.observability.tuples,
-            self.observability.advances,
-            self.observability.rounds,
-            self.observability.instrumented_ms,
-            self.observability.baseline_ms,
-            self.observability.overhead_ratio(),
-            self.observability.logs_identical,
-            self.observability.prometheus_ok,
-            self.observability.json_ok,
-            self.observability.trace_ok,
-            self.observability.stage_coverage * 100.0,
+            o.tuples,
+            o.advances,
+            o.rounds,
+            o.instrumented_ms,
+            o.baseline_ms,
+            o.overhead_ratio(),
+            o.logs_identical,
+            o.prometheus_ok,
+            o.json_ok,
+            o.trace_ok,
+            o.stage_coverage * 100.0,
         );
         let _ = writeln!(
             out,
-            "\n== BENCH lawa: raw-speed pass ==\n\
-             columnar kernel        {:>9.1} ms   vs per-root cold walk {:.1} ms ({:.2}×, {} tuples, max Δ {:.2e})",
-            self.raw_speed.columnar_ms,
-            self.raw_speed.memoized_cold_ms,
-            self.raw_speed.valuation_speedup(),
-            self.raw_speed.output_tuples,
-            self.raw_speed.max_delta,
-        );
-        for p in &self.raw_speed.stitch {
-            let _ = writeln!(
-                out,
-                "  stitch reduction: {:>2} workers {:>9.1} ms  depth<={}  batch-equal: {}",
-                p.workers, p.wall_ms, p.depth_max, p.batch_equal,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  immortal facts:   interior {} B vs prefix {} B steady-state ({:.2}×, {} interior retires over {} advances, batch-equal: {})",
-            self.raw_speed.interior_steady_bytes,
-            self.raw_speed.prefix_steady_bytes,
-            self.raw_speed.residency_ratio(),
-            self.raw_speed.interior_retired_segments,
-            self.raw_speed.immortal_advances,
-            self.raw_speed.immortal_batch_equal,
-        );
-        let _ = writeln!(
-            out,
-            "  registry:         interior {} vs prefix {} steady-state live vars ({:.2}×, cohort-granular release)",
-            self.raw_speed.interior_steady_live_vars,
-            self.raw_speed.prefix_steady_live_vars,
-            self.raw_speed.live_vars_ratio(),
-        );
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: standing plans ({} tuples/side over {} keys, {} advances) ==\n\
-             standing pipeline      {:>9.1} ms   ({} operator deltas, {} view rows)\n\
-             naive re-plan per wmark{:>9.1} ms\n\
-             speedup                {:>9.2}×   (batch-equal: {})\n\
-             reclaim-mode plateau   {:>9} → {} state rows over {} epochs ({:.2}×, {} segments retired, batch-equal: {})",
-            self.pipeline.tuples,
-            self.pipeline.facts,
-            self.pipeline.advances,
-            self.pipeline.incremental_ms,
-            self.pipeline.pipeline_deltas,
-            self.pipeline.output_rows,
-            self.pipeline.naive_rebatch_ms,
-            self.pipeline.speedup(),
-            self.pipeline.batch_equal,
-            self.pipeline.warmup_state_rows,
-            self.pipeline.steady_state_rows,
-            self.pipeline.plateau_epochs,
-            self.pipeline.plateau_ratio(),
-            self.pipeline.retired_segments,
-            self.pipeline.plateau_batch_equal,
-        );
-        let _ = writeln!(
-            out,
-            "\n== BENCH lawa: adaptive pipelines ({} tuples/side over {} keys, {} advances) ==\n\
-             frozen nested-loop plan{:>9.1} ms\n\
-             re-optimizing engine   {:>9.1} ms   ({:.2}×, {} swap(s), log-identical: {}, views-equal: {})\n\
-             shared state           {:>9} rows vs {} duplicated ({:.2}×, {} shared operators over {} plans, views-equal: {})\n\
-             lane-blocked kernel    {:>9.1} ms vs {:.1} ms memoized cold ({:.2}×, {} roots, max Δ {:.1e})",
-            self.adaptive.tuples,
-            self.adaptive.facts,
-            self.adaptive.advances,
-            self.adaptive.frozen_ms,
-            self.adaptive.adaptive_ms,
-            self.adaptive.reopt_speedup(),
-            self.adaptive.swaps,
-            self.adaptive.log_identical,
-            self.adaptive.views_equal,
-            self.adaptive.shared_state_rows,
-            self.adaptive.duplicated_state_rows,
-            self.adaptive.shared_state_ratio(),
-            self.adaptive.shared_operators,
-            self.adaptive.shared_plans,
-            self.adaptive.shared_views_equal,
-            self.adaptive.kernel_cold_ms,
-            self.adaptive.memoized_cold_ms,
-            self.adaptive.simd_valuation_speedup(),
-            self.adaptive.valuation_roots,
-            self.adaptive.kernel_max_delta,
+            "\nTP_SCALE={}, {} hardware thread(s)",
+            self.tp_scale, self.hardware_threads
         );
         out
     }
-}
-
-/// Extracts the prior `history` entries of a previously written
-/// `BENCH_lawa.json` (hand-rolled: entries are flat objects without
-/// nested brackets, by construction of
-/// [`BenchReport::history_entry`]). Unknown or malformed files yield an
-/// empty history — the series restarts rather than failing the run.
-pub fn extract_history(prior_json: &str) -> Vec<String> {
-    let Some(start) = prior_json.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let rest = &prior_json[start + "\"history\": [".len()..];
-    let Some(end) = rest.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut cur = String::new();
-    for ch in rest[..end].chars() {
-        match ch {
-            '{' => {
-                depth += 1;
-                cur.push(ch);
-            }
-            '}' => {
-                depth = depth.saturating_sub(1);
-                cur.push(ch);
-                if depth == 0 {
-                    out.push(std::mem::take(&mut cur).trim().to_string());
-                }
-            }
-            _ => {
-                if depth > 0 {
-                    cur.push(ch);
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Fig. 11a–c: the three TP set operations over the (simulated) WebKit
@@ -3428,36 +1134,12 @@ mod tests {
             "paths disagree: {}",
             b.max_sum_delta
         );
-        let json = b.to_json();
-        assert!(json.contains("\"experiment\": \"lawa_memoized_valuation\""));
-        assert!(json.contains("\"speedup\""));
-        // Correctness only here: the ≥2× speedup acceptance criterion is a
-        // wall-clock property and is gated in CI's bench-smoke step
-        // (release build, dedicated step) — asserting a timing ratio inside
-        // `cargo test` on a shared runner would flake on noisy neighbors.
+        // Correctness only here: the ≥2× speedup is a wall-clock property,
+        // gated by `experiments -- bench_lawa` on a release build —
+        // asserting a timing ratio inside `cargo test` on a shared runner
+        // would flake on noisy neighbors.
         assert!(b.tree_walker_ms > 0.0 && b.arena_memoized_ms > 0.0);
         assert!(b.speedup().is_finite());
-    }
-
-    #[test]
-    fn op_throughput_measures_all_ops() {
-        let series = lawa_op_throughput(&[400, 800]);
-        assert_eq!(series.len(), 6); // 3 ops × 2 sizes
-        for t in &series {
-            assert!(t.ms >= 0.0);
-            assert!(t.mtuples_per_s.is_finite());
-            assert!(t.output_tuples > 0, "{} produced nothing", t.op);
-        }
-    }
-
-    #[test]
-    fn contention_bench_runs_both_layouts() {
-        let b = arena_contention_bench(2, 500);
-        assert!(b.single_lock_ms > 0.0 && b.striped_ms > 0.0);
-        assert!(b.speedup().is_finite());
-        assert_eq!(b.shards, tp_core::arena::MAX_SHARDS);
-        // No wall-clock assertion: stripes only win with real hardware
-        // parallelism; CI gates correctness, the JSON records the ratio.
     }
 
     #[test]
@@ -3467,212 +1149,187 @@ mod tests {
         assert!(b.advances > 1);
         assert!(b.inserts > 0);
         assert!(b.incremental_ms > 0.0 && b.naive_rebatch_ms > 0.0);
-        // The ≥2× wall-clock criterion is gated in CI's bench-smoke step.
         assert!(b.speedup().is_finite());
     }
 
-    #[test]
-    fn parallel_advance_bench_is_batch_equal_at_every_worker_count() {
-        let b = parallel_advance_bench(256, 8, &[1, 2, 4]);
-        assert!(b.batch_equal(), "a worker count diverged from batch");
-        assert_eq!(b.fat.len(), 3);
-        assert_eq!(b.skewed.len(), 3);
-        assert!(b.advances >= 8);
-        // Fat advances (~512 pieces) really shard once workers > 1.
-        assert!(
-            b.fat.iter().skip(1).all(|p| p.regions_max > 1),
-            "fat advances never sharded"
-        );
-        assert!(b.fat.iter().all(|p| p.balance_worst >= 1.0));
-        // No wall-clock assertion: scaling needs hardware threads; CI's
-        // parallel-advance-smoke gates the 4-worker speedup on >= 4 cores.
-        let s = b.speedup_at(4);
-        assert!(s.is_finite() && s > 0.0);
-    }
-
-    #[test]
-    fn ingest_bench_is_batch_equal_with_sane_occupancy() {
-        let b = ingest_index_bench(&[300, 600]);
-        assert_eq!(b.points.len(), 6); // 2 sizes × 3 arrival orders
-        assert!(b.batch_equal(), "an ingest point diverged from batch");
-        for p in &b.points {
-            assert!(
-                p.gap_occupancy_permille > 0 && p.gap_occupancy_permille <= 1000,
-                "{} @ {}: implausible gap occupancy {}‰",
-                p.order,
-                p.tuples,
-                p.gap_occupancy_permille
-            );
-            assert!(p.speedup().is_finite() && p.speedup() > 0.0);
+    /// A report whose every reading sits comfortably inside its gate.
+    fn passing_report() -> BenchReport {
+        BenchReport {
+            valuation: LawaValuationBench {
+                tuples: 100,
+                levels: 4,
+                rounds: 2,
+                output_tuples: 100,
+                lineage_nodes: 1_000,
+                tree_walker_ms: 10.0,
+                arena_memoized_ms: 1.0,
+                max_sum_delta: 0.0,
+            },
+            streaming: StreamingBench {
+                tuples: 100,
+                arrivals: 200,
+                advances: 4,
+                incremental_ms: 1.0,
+                naive_rebatch_ms: 10.0,
+                inserts: 10,
+                extends: 2,
+                batch_equal: true,
+            },
+            observability: ObservabilityBench {
+                tuples: 100,
+                advances: 4,
+                rounds: 1,
+                instrumented_ms: 1.0,
+                baseline_ms: 1.0,
+                logs_identical: true,
+                prometheus_ok: true,
+                json_ok: true,
+                trace_ok: true,
+                stage_coverage: 1.0,
+            },
+            tp_scale: 0.1,
+            hardware_threads: 2,
         }
-        // No wall-clock assertion: the speedup is hardware-dependent and
-        // reported informationally; CI gates equality + occupancy only.
-        assert!(b.speedup_at_largest() > 0.0);
+    }
+
+    /// The object keys of `json` in document order (the report has no
+    /// escaped quotes, so every odd `"`-split piece is a string and a
+    /// string followed by `:` is a key).
+    fn keys(json: &str) -> Vec<&str> {
+        let pieces: Vec<&str> = json.split('"').collect();
+        (1..pieces.len())
+            .step_by(2)
+            .filter(|&i| {
+                pieces
+                    .get(i + 1)
+                    .is_some_and(|next| next.trim_start().starts_with(':'))
+            })
+            .map(|i| pieces[i])
+            .collect()
     }
 
     #[test]
-    fn bench_report_json_keeps_valuation_schema_and_adds_sections() {
+    fn each_doctored_field_trips_exactly_its_own_gate() {
+        assert_eq!(passing_report().gates(), Vec::<String>::new());
+        type Doctor = fn(&mut BenchReport);
+        let doctors: [(&str, Doctor); 12] = [
+            ("speedup", |r| r.valuation.arena_memoized_ms = 6.0),
+            ("max_sum_delta", |r| r.valuation.max_sum_delta = 1e-3),
+            ("max_sum_delta", |r| r.valuation.max_sum_delta = f64::NAN),
+            ("streaming.batch_equal", |r| r.streaming.batch_equal = false),
+            ("streaming.speedup", |r| r.streaming.naive_rebatch_ms = 1.5),
+            ("observability.logs_identical", |r| {
+                r.observability.logs_identical = false
+            }),
+            ("observability.prometheus_ok", |r| {
+                r.observability.prometheus_ok = false
+            }),
+            ("observability.json_ok", |r| r.observability.json_ok = false),
+            ("observability.trace_ok", |r| {
+                r.observability.trace_ok = false
+            }),
+            ("observability.stage_coverage", |r| {
+                r.observability.stage_coverage = 0.9
+            }),
+            ("observability.stage_coverage", |r| {
+                r.observability.stage_coverage = f64::NAN
+            }),
+            ("observability.overhead_ratio", |r| {
+                r.observability.instrumented_ms = 1.2
+            }),
+        ];
+        for (key, doctor) in doctors {
+            let mut report = passing_report();
+            doctor(&mut report);
+            let tripped = report.gates();
+            assert_eq!(tripped.len(), 1, "{key}: {tripped:?}");
+            assert!(
+                tripped[0].starts_with(&format!("{key}:")),
+                "{key} tripped the wrong gate: {tripped:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn report_json_is_valid_and_keeps_the_kept_keys() {
+        let json = passing_report().to_json();
+        tp_obs::json::validate(&json).expect("report JSON is well-formed");
+        assert_eq!(
+            keys(&json),
+            [
+                // Valuation (top level).
+                "experiment",
+                "tuples",
+                "levels",
+                "rounds",
+                "output_tuples",
+                "lineage_nodes",
+                "tree_walker_ms",
+                "arena_memoized_ms",
+                "speedup",
+                "max_sum_delta",
+                "lineage_equality",
+                "tp_scale",
+                "hardware_threads",
+                "streaming",
+                "tuples",
+                "arrivals",
+                "advances",
+                "incremental_ms",
+                "naive_rebatch_ms",
+                "speedup",
+                "inserts",
+                "extends",
+                "batch_equal",
+                "observability",
+                "tuples",
+                "advances",
+                "rounds",
+                "instrumented_ms",
+                "baseline_ms",
+                "overhead_ratio",
+                "logs_identical",
+                "prometheus_ok",
+                "json_ok",
+                "trace_ok",
+                "stage_coverage",
+                "note",
+            ]
+        );
+        // A non-finite reading cannot reach the artifact: it renders as
+        // `NaN`/`inf`, which the validator rejects.
+        let mut report = passing_report();
+        report.valuation.max_sum_delta = f64::NAN;
+        assert!(tp_obs::json::validate(&report.to_json()).is_err());
+    }
+
+    #[test]
+    fn measured_report_is_valid_and_correct() {
         let report = BenchReport {
             valuation: lawa_valuation_bench(800, 8, 2),
-            ops: lawa_op_throughput(&[300]),
-            contention: arena_contention_bench(2, 200),
             streaming: streaming_bench(600, 80),
-            memory: memory_bounded_bench(16),
-            tenants: multi_tenant_bench(2, 16, 2),
-            parallel: parallel_advance_bench(64, 8, &[1, 2]),
-            ingest: ingest_index_bench(&[400]),
             observability: observability_bench(400, 16, 1),
-            raw_speed: raw_speed_bench(800, 8, 1, 64, 16, &[1, 2]),
-            pipeline: pipeline_bench(160, 16, 16, 24),
-            adaptive: adaptive_pipeline_bench(160, 16, 16, 3, 1),
+            tp_scale: 1.0,
+            hardware_threads: 1,
         };
-        let json = report.to_json();
-        // Existing top-level schema intact (CI's speedup gate reads these).
-        assert!(json.contains("\"experiment\": \"lawa_memoized_valuation\""));
-        assert!(json.contains("\"speedup\""));
-        // New sections present.
-        assert!(json.contains("\"lawa_ops\""));
-        assert!(json.contains("\"arena_contention\""));
-        assert!(json.contains("\"streaming\""));
-        assert!(json.contains("\"memory_bounded\""));
-        assert!(json.contains("\"multi_tenant\""));
-        assert!(json.contains("\"var_table_plateau_ratio\""));
-        assert!(json.contains("\"parallel_advance\""));
-        assert!(json.contains("\"fat_tenant\""));
-        assert!(json.contains("\"skewed\""));
-        assert!(json.contains("\"ingest_index\""));
-        assert!(json.contains("\"observability\""));
-        assert!(json.contains("\"overhead_ratio\""));
-        assert!(json.contains("\"raw_speed\""));
-        assert!(json.contains("\"interior_steady_bytes\""));
-        assert!(json.contains("\"interior_steady_live_vars\""));
-        assert!(json.contains("\"live_vars_ratio\""));
-        assert!(json.contains("\"streaming_plans\""));
-        assert!(json.contains("\"pipeline_deltas\""));
-        assert!(json.contains("\"plateau_batch_equal\": true"));
-        assert!(json.contains("\"batch_equal\": true"));
-        assert!(json.contains("\"adaptive_pipeline\""));
-        assert!(json.contains("\"reopt_speedup\""));
-        assert!(json.contains("\"shared_state_ratio\""));
-        assert!(json.contains("\"simd_valuation_speedup\""));
-        assert!(json.contains("\"log_identical\": true"));
-        // Balanced braces (hand-rolled JSON sanity).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON: {json}"
-        );
-        let rendered = report.render();
-        assert!(rendered.contains("operation throughput"));
-        assert!(rendered.contains("intern contention"));
-        assert!(rendered.contains("naive re-batch"));
-        assert!(rendered.contains("bounded-memory streaming"));
-        assert!(rendered.contains("multi-tenant server"));
-        assert!(rendered.contains("region-parallel advance"));
-        assert!(rendered.contains("raw-speed pass"));
-        assert!(rendered.contains("standing plans"));
-        assert!(rendered.contains("adaptive pipelines"));
-
-        // History round trip: a written file's entries are recovered and
-        // extended, and the result stays balanced.
-        let e1 = report.history_entry(1_000);
-        assert!(e1.contains("\"ingest_speedup_at_largest\""));
-        assert!(e1.contains("\"raw_valuation_speedup\""));
-        assert!(e1.contains("\"pipeline_speedup\""));
-        assert!(e1.contains("\"reopt_speedup\""));
-        assert!(e1.contains("\"shared_state_ratio\""));
-        assert!(e1.contains("\"simd_valuation_speedup\""));
-        let with_one = report.to_json_with_history(std::slice::from_ref(&e1));
-        assert_eq!(extract_history(&with_one), vec![e1.clone()]);
-        let e2 = report.history_entry(2_000);
-        let with_two = report.to_json_with_history(&[e1.clone(), e2.clone()]);
-        assert_eq!(extract_history(&with_two), vec![e1, e2]);
-        assert_eq!(
-            with_two.matches('{').count(),
-            with_two.matches('}').count(),
-            "unbalanced JSON with history: {with_two}"
-        );
-        assert!(extract_history("{}").is_empty());
-    }
-
-    #[test]
-    fn pipeline_bench_matches_batch_and_plateaus() {
-        let b = pipeline_bench(200, 20, 16, 32);
-        assert!(b.batch_equal, "standing view diverged from batch plan");
-        assert!(b.plateau_batch_equal, "reclaim-mode view diverged");
-        assert!(b.advances > 1);
-        assert!(b.pipeline_deltas > 0);
-        assert!(b.output_rows > 0, "vacuous: empty view proves nothing");
-        assert!(b.retired_segments > 0, "reclaim never fired");
-        assert!(
-            b.pass(),
-            "no plateau: warm-up {} vs steady {} state rows",
-            b.warmup_state_rows,
-            b.steady_state_rows
-        );
-        // The wall speedup is hardware-dependent and reported
-        // informationally; CI gates equality + the plateau only.
-        assert!(b.speedup().is_finite() && b.speedup() > 0.0);
-    }
-
-    #[test]
-    fn adaptive_bench_passes_all_three_gates() {
-        let b = adaptive_pipeline_bench(200, 20, 16, 3, 1);
-        assert!(b.swaps >= 1, "re-optimization never fired");
-        assert!(b.log_identical, "plan swap changed the delta log");
-        assert!(b.views_equal, "plan swap changed the standing view");
-        assert!(b.shared_views_equal, "a shared view diverged from solo");
-        assert!(
-            b.shared_state_rows < b.duplicated_state_rows,
-            "shared state {} not sub-additive vs duplicated {}",
-            b.shared_state_rows,
-            b.duplicated_state_rows
-        );
-        assert!(b.shared_operators >= 3, "join + sources should be shared");
-        assert!(b.valuation_roots > 0, "vacuous: no roots valuated");
-        assert!(
-            b.kernel_max_delta <= 1e-12,
-            "kernel diverged: max Δ {:.3e}",
-            b.kernel_max_delta
-        );
-        assert!(b.pass());
-        // Wall ratios are hardware-dependent and informational.
-        assert!(b.reopt_speedup().is_finite() && b.reopt_speedup() > 0.0);
-        assert!(b.simd_valuation_speedup().is_finite() && b.simd_valuation_speedup() > 0.0);
-    }
-
-    #[test]
-    fn multi_tenant_bench_is_bounded_on_both_axes() {
-        let b = multi_tenant_bench(3, 24, 3);
-        assert_eq!(b.tenants.len(), 3);
-        assert!(b.min_advances() >= 24, "advances {}", b.min_advances());
-        assert!(b.total_rows > 0);
-        for t in &b.tenants {
-            assert!(t.batch_equal, "{}: stream diverged from batch", t.name);
-            assert!(t.retired_segments > 0, "{}: nothing retired", t.name);
-            assert!(t.released_vars > 0, "{}: no vars released", t.name);
+        tp_obs::json::validate(&report.to_json()).expect("report JSON is well-formed");
+        // Only the timing gates may fail on a debug build / shared runner.
+        for msg in report.gates() {
+            assert!(
+                [
+                    "speedup:",
+                    "streaming.speedup:",
+                    "observability.overhead_ratio:"
+                ]
+                .iter()
+                .any(|timing| msg.starts_with(timing)),
+                "correctness gate failed: {msg}"
+            );
         }
-        assert!(
-            b.bounded(),
-            "not bounded: arena {:.2}x, vars {:.2}x",
-            b.worst_node_ratio(),
-            b.worst_var_ratio()
-        );
-    }
-
-    #[test]
-    fn memory_bench_plateaus_and_is_batch_equal() {
-        let b = memory_bounded_bench(24);
-        assert!(b.batch_equal, "reclaiming stream diverged from batch");
-        assert!(b.advances >= 20);
-        assert!(b.retired_segments > 0, "nothing was retired");
-        assert!(
-            b.bounded(),
-            "no plateau: ratio {:.2} (one-window {}, steady {})",
-            b.plateau_ratio(),
-            b.one_window_nodes,
-            b.steady_max_nodes
-        );
+        let rendered = report.render();
+        assert!(rendered.contains("memoized valuation"));
+        assert!(rendered.contains("naive re-batch"));
+        assert!(rendered.contains("observability overhead"));
     }
 
     #[test]
@@ -3702,7 +1359,6 @@ mod tests {
         assert!(rendered.contains('-'));
     }
 }
-
 #[cfg(test)]
 mod csv_tests {
     use super::*;

@@ -19,10 +19,9 @@ pub mod experiments;
 pub mod runner;
 
 pub use experiments::{
-    arena_contention_bench, fig10_meteo, fig11_webkit, fig7_small_synthetic, fig8_large_synthetic,
-    fig9a_overlap, fig9b_facts, ingest_index_bench, lawa_op_throughput, lawa_valuation_bench,
-    streaming_bench, table2_support, table3_datasets, table4_datasets, BenchReport,
-    ContentionBench, ExperimentResult, IngestBench, IngestPoint, LawaValuationBench, OpThroughput,
-    Series, StreamingBench,
+    fig10_meteo, fig11_webkit, fig7_small_synthetic, fig8_large_synthetic, fig9a_overlap,
+    fig9b_facts, lawa_valuation_bench, observability_bench, streaming_bench, table2_support,
+    table3_datasets, table4_datasets, BenchReport, ExperimentResult, LawaValuationBench,
+    ObservabilityBench, Series, StreamingBench,
 };
-pub use runner::{scale, scaled, time_ms};
+pub use runner::{parse_scale, scale, scaled, time_ms};

@@ -14,12 +14,18 @@ pub fn time_ms<R>(f: impl FnOnce() -> R) -> (f64, R) {
 }
 
 /// The experiment scale factor from the `TP_SCALE` environment variable
-/// (default 1.0). Paper-sized experiments need roughly `TP_SCALE=10`.
+/// (see [`parse_scale`]). Paper-sized experiments need roughly
+/// `TP_SCALE=10`.
 pub fn scale() -> f64 {
-    std::env::var("TP_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
+    parse_scale(std::env::var("TP_SCALE").ok().as_deref())
+}
+
+/// Parses a raw `TP_SCALE` value: a finite positive number, or 1.0 when
+/// unset or anything else (`inf` would saturate every scaled size to
+/// `usize::MAX`).
+pub fn parse_scale(raw: Option<&str>) -> f64 {
+    raw.and_then(|v| v.parse::<f64>().ok())
+        .filter(|v| v.is_finite() && *v > 0.0)
         .unwrap_or(1.0)
 }
 
@@ -87,6 +93,16 @@ mod tests {
             assert_eq!(scale(), 1.0);
             assert_eq!(scaled(100), 100);
         }
+    }
+
+    #[test]
+    fn parse_scale_accepts_only_finite_positive_values() {
+        assert_eq!(parse_scale(Some("0.1")), 0.1);
+        assert_eq!(parse_scale(Some("10")), 10.0);
+        for rejected in ["inf", "-inf", "NaN", "-1", "0", "", "ten"] {
+            assert_eq!(parse_scale(Some(rejected)), 1.0, "{rejected:?}");
+        }
+        assert_eq!(parse_scale(None), 1.0);
     }
 
     #[test]

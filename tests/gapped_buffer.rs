@@ -9,7 +9,7 @@ mod common;
 use common::oracle::{assert_delta_logs_identical, assert_materialized_matches_batch};
 use tp_stream::{
     BufferKind, EngineConfig, MaterializingSink, ParallelConfig, ReclaimConfig, ReplayConfig,
-    StreamScript,
+    ReplayEvent, StreamEngine, StreamScript,
 };
 use tp_workloads::{skewed_synth_stream, sliding_synth_stream, SkewedConfig, SlidingConfig};
 use tpdb::prelude::*;
@@ -148,8 +148,8 @@ fn adversarial_arrival_orders_are_byte_identical() {
     let mut batch = Vec::new();
     for ev in &w.script.events {
         match ev {
-            tp_stream::ReplayEvent::Arrive(..) => batch.push(ev.clone()),
-            tp_stream::ReplayEvent::Advance(_) => {
+            ReplayEvent::Arrive(..) => batch.push(ev.clone()),
+            ReplayEvent::Advance(_) => {
                 batch.reverse(); // adversarial: reverse every inter-advance batch
                 events.append(&mut batch);
                 events.push(ev.clone());
@@ -160,6 +160,36 @@ fn adversarial_arrival_orders_are_byte_identical() {
     events.append(&mut batch);
     let script = StreamScript { events };
     assert_index_matches_legacy(&script, "reversed batches");
+
+    // The index's gap accounting stays plausible on every advance of the
+    // gapped engine: zero would mean it never held data, above 1000
+    // broken accounting. (`finish` only flushes the carried residue of an
+    // already drained buffer, so it may legitimately read 0.)
+    let mut engine = StreamEngine::new(EngineConfig {
+        buffer: BufferKind::Sorted,
+        ..Default::default()
+    });
+    let mut sink = MaterializingSink::new();
+    let mut advances = 0;
+    for ev in &script.events {
+        match ev {
+            ReplayEvent::Arrive(side, t) => {
+                engine.push(*side, t.clone());
+            }
+            ReplayEvent::Advance(wm) => {
+                let stats = engine.advance(*wm, &mut sink).expect("script monotone");
+                let occ = stats.gap_occupancy_permille;
+                assert!(
+                    occ > 0 && occ <= 1000,
+                    "advance {advances}: implausible gap occupancy {occ}‰"
+                );
+                advances += 1;
+            }
+        }
+    }
+    assert!(advances >= 12, "only {advances} advances");
+    let fin = engine.finish(&mut sink).expect("final advance");
+    assert!(fin.gap_occupancy_permille <= 1000);
 }
 
 /// End-to-end reclaim-mode oracle on the index engine itself (not just
